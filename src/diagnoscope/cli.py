@@ -6,7 +6,7 @@ strategies), ``treat`` (optimize a treatment set), and ``cover`` (smallest
 set of interpretations reaching a posterior mass).
 
 Exit codes: 0 success, 1 domain errors (validation findings, impossible
-observations, ...), 2 usage or parse errors. Results go to stdout,
+observations, ...), 2 usage, file or parse errors. Results go to stdout,
 diagnostics to stderr; output is byte-identical across runs on identical
 inputs. Tables round probabilities to 4 decimals; ``--format json`` adds
 full-precision values alongside the rounded ones.
@@ -23,26 +23,13 @@ from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
 from .model import FaultModel, Interpretation, ObservationSet
-from .probability import PosteriorTable, covering_mass_set, posterior_table
-from .strategies import (
-    RankedDiagnoses,
-    Strategy,
-    StrategyReport,
-    compare_strategies,
-    diagnose_abductive,
-    diagnose_consistency,
-    diagnose_mpe,
-    diagnose_posterior,
-    diagnose_single_fault,
+from .probability import (
+    DEFAULT_TIE_EPSILON,
+    PosteriorTable,
+    covering_mass_set,
+    posterior_table,
 )
-
-_STRATEGY_RUNNERS = {
-    Strategy.SINGLE_FAULT: diagnose_single_fault,
-    Strategy.POSTERIOR: diagnose_posterior,
-    Strategy.MPE: diagnose_mpe,
-    Strategy.CONSISTENCY: diagnose_consistency,
-    Strategy.ABDUCTIVE: diagnose_abductive,
-}
+from .strategies import _RANKERS, RankedDiagnoses, Strategy, StrategyReport, _compare
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +95,9 @@ def run_cli(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"{exc.filename}: error: {exc}", file=sys.stderr)
+        return 2
     except (DiagnoscopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -121,10 +111,9 @@ def main() -> None:
 
 
 def _parse_file(path: str) -> Document:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return parse_document(text)
-    except ParseError as exc:
+        return parse_document(Path(path).read_text(encoding="utf-8"))
+    except (ParseError, UnicodeDecodeError) as exc:
         exc.filename = path
         raise
 
@@ -158,14 +147,17 @@ def _dispatch(args: argparse.Namespace) -> int:
     if _gate_findings(bundle):
         return 1
     observations = _observations(args, bundle)
-    if args.command == "interpretations":
-        return _cmd_interpretations(args, bundle.model, observations)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args, bundle, observations)
     if args.command == "treat":
         return _cmd_treat(args, bundle, observations)
+    # The other commands share the query's one posterior table, built before
+    # anything else so that its errors take precedence.
+    table = posterior_table(bundle.model, observations)
+    if args.command == "interpretations":
+        return _cmd_interpretations(args, table)
+    if args.command == "diagnose":
+        return _cmd_diagnose(args, bundle, table)
     if args.command == "cover":
-        return _cmd_cover(args, bundle.model, observations)
+        return _cmd_cover(args, table)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -183,14 +175,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # rendering helpers
 
 
-def _fault_set_text(model: FaultModel, fault_set: frozenset[str]) -> str:
-    order = model.hypothesis_index
-    return "{" + ",".join(sorted(fault_set, key=lambda name: order[name])) + "}"
+def _braced(names: list[str]) -> str:
+    return "{" + ",".join(names) + "}"
 
 
 def _fault_set_list(model: FaultModel, fault_set: frozenset[str]) -> list[str]:
     order = model.hypothesis_index
     return sorted(fault_set, key=lambda name: order[name])
+
+
+def _fault_set_text(model: FaultModel, fault_set: frozenset[str]) -> str:
+    return _braced(_fault_set_list(model, fault_set))
 
 
 def _interpretation_text(interpretation: Interpretation) -> str:
@@ -225,10 +220,7 @@ def _print(text: str) -> int:
 # interpretations
 
 
-def _cmd_interpretations(
-    args: argparse.Namespace, model: FaultModel, observations: ObservationSet
-) -> int:
-    table = posterior_table(model, observations)
+def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int:
     if args.fmt == "json":
         payload = {
             "evidence_probability": table.evidence_probability,
@@ -337,9 +329,7 @@ def _render_report(
         label = dict(report.leaders).get("treatment", frozenset())
         lines.append(
             "treatment: "
-            + "{"
-            + ",".join(sorted(report.treatment.chosen))
-            + "}"
+            + _braced(sorted(report.treatment.chosen))
             + f"  expected utility {_dollars(report.treatment.expected_utility)}"
             + f"  (targets {_fault_set_text(model, label)})"
         )
@@ -356,14 +346,13 @@ def _render_report(
 
 
 def _cmd_diagnose(
-    args: argparse.Namespace, bundle: ParsedBundle, observations: ObservationSet
+    args: argparse.Namespace, bundle: ParsedBundle, table: PosteriorTable
 ) -> int:
-    model = bundle.model
-    table = posterior_table(model, observations)
+    model, observations = table.model, table.observations
     evidence = table.evidence_probability
     if args.strategy == "all":
-        report = compare_strategies(
-            model, observations, bundle.utility, bundle.treatments
+        report = _compare(
+            model, observations, lambda: table, bundle.utility, bundle.treatments
         )
         if args.fmt == "json":
             payload = {
@@ -383,8 +372,8 @@ def _cmd_diagnose(
             }
             return _print(json.dumps(payload, indent=2))
         return _print(_render_report(model, report, evidence))
-    strategy = Strategy(args.strategy)
-    ranking = _STRATEGY_RUNNERS[strategy](model, observations)
+    rank = _RANKERS[Strategy(args.strategy)]
+    ranking = rank(model, observations, lambda: table, DEFAULT_TIE_EPSILON)
     if args.fmt == "json":
         payload = _ranking_payload(model, ranking)
         payload["evidence_probability"] = evidence
@@ -427,7 +416,7 @@ def _cmd_treat(
     if args.fmt == "json":
         return _print(json.dumps(_treatment_payload(decision), indent=2))
     lines = [
-        "chosen: {" + ",".join(sorted(decision.chosen)) + "}",
+        "chosen: " + _braced(sorted(decision.chosen)),
         f"expected utility: {_dollars(decision.expected_utility)}",
     ]
     if decision.per_treatment_breakdown is not None:
@@ -441,10 +430,7 @@ def _cmd_treat(
 # cover
 
 
-def _cmd_cover(
-    args: argparse.Namespace, model: FaultModel, observations: ObservationSet
-) -> int:
-    table = posterior_table(model, observations)
+def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
     prefix = covering_mass_set(table, args.mass)
     cumulative: list[float] = []
     total = 0.0

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NoFiniteThresholdError, SearchSpaceError
+from .formulas import Atom
 from .model import (
     AdditiveEntry,
     FaultModel,
@@ -23,7 +24,7 @@ from .model import (
     UtilityModel,
     ZERO_ENTRY,
 )
-from .probability import PosteriorTable, posterior_table
+from .probability import PosteriorTable, TableSource, marginal, posterior_table
 
 DEFAULT_TREATMENT_LIMIT = 20
 
@@ -101,18 +102,30 @@ def optimal_treatment(
 
     Ties go to the smallest set, then lexicographically smallest ids.
     """
+    return _optimal_treatment(
+        lambda: posterior_table(model, observations), utility, treatments, limit
+    )
+
+
+def _optimal_treatment(
+    table: TableSource,
+    utility: UtilityModel,
+    treatments: tuple[TreatmentAction, ...],
+    limit: int = DEFAULT_TREATMENT_LIMIT,
+) -> TreatmentDecision:
+    """optimal_treatment over a shared table, fetched after the cap check."""
     if len(treatments) > limit:
         raise SearchSpaceError(
             f"treatment space too large: {len(treatments)} treatments exceed the cap of {limit}"
         )
-    table = posterior_table(model, observations)
+    posterior = table()
     ids = sorted(treatment.id for treatment in treatments)
     best_set: frozenset[str] = frozenset()
     best_utility = float("-inf")
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             selected = frozenset(combo)
-            value = expected_utility_over_table(table, utility, treatments, selected)
+            value = expected_utility_over_table(posterior, utility, treatments, selected)
             if value > best_utility:
                 best_utility = value
                 best_set = selected
@@ -122,11 +135,7 @@ def optimal_treatment(
         for treatment in treatments:
             entry = utility.additive.get(treatment.id, ZERO_ENTRY)
             treating = treatment.id in best_set
-            faulty_prob = sum(
-                e.posterior
-                for e in table.entries
-                if e.interpretation.value(treatment.target)
-            )
+            faulty_prob = marginal(posterior, Atom(treatment.target))
             breakdown[treatment.id] = faulty_prob * _entry_value(
                 entry, treating, True
             ) + (1.0 - faulty_prob) * _entry_value(entry, treating, False)

@@ -66,6 +66,10 @@ _STATEMENT_KEYWORDS = (
 
 _ADDITIVE_LABELS = ("treat-faulty", "treat-ok", "skip-faulty", "skip-ok")
 
+# Deepest nesting of '(' and '!' accepted in one formula; deeper input is a
+# parse error instead of a RecursionError in the parser or the evaluator.
+MAX_FORMULA_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -158,6 +162,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open '(' and '!' in the formula being parsed
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -316,13 +321,9 @@ def _parse_fact(cursor: _Cursor, doc: Document) -> None:
 
 
 def _parse_observe(cursor: _Cursor, doc: Document) -> None:
-    polarity = True
-    if not cursor.at_end() and cursor.peek().kind == "!":
-        cursor.advance()
-        polarity = False
-    name = cursor.expect_name("observable identifier")
+    literal = _parse_literal(cursor, "observable identifier")
     cursor.expect_end()
-    doc.observations.append((name.text, polarity))
+    doc.observations.append(literal)
     doc.has_observations = True
 
 
@@ -334,18 +335,18 @@ def _parse_treatment(cursor: _Cursor, doc: Document) -> None:
     doc.treatments.append(TreatmentAction(name.text, target.text))
 
 
-def _parse_literal_list(cursor: _Cursor, what: str) -> tuple[tuple[str, bool], ...]:
-    literals: list[tuple[str, bool]] = []
-    while True:
-        polarity = True
-        if not cursor.at_end() and cursor.peek().kind == "!":
-            cursor.advance()
-            polarity = False
-        name = cursor.expect_name(what)
-        literals.append((name.text, polarity))
-        if cursor.at_end() or cursor.peek().kind != "&":
-            break
+def _parse_literal(cursor: _Cursor, what: str) -> tuple[str, bool]:
+    negated = not cursor.at_end() and cursor.peek().kind == "!"
+    if negated:
         cursor.advance()
+    return cursor.expect_name(what).text, not negated
+
+
+def _parse_literal_list(cursor: _Cursor, what: str) -> tuple[tuple[str, bool], ...]:
+    literals = [_parse_literal(cursor, what)]
+    while not cursor.at_end() and cursor.peek().kind == "&":
+        cursor.advance()
+        literals.append(_parse_literal(cursor, what))
     return tuple(literals)
 
 
@@ -424,13 +425,17 @@ def _parse_unary(cursor: _Cursor) -> Formula:
     token = cursor.peek()
     if token is None:
         raise cursor.fail("formula", ("identifier", "'!'", "'('", "true", "false"))
-    if token.kind == "!":
+    if token.kind in ("!", "("):
+        if cursor.depth == MAX_FORMULA_DEPTH:
+            raise ParseError(token.span, f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
         cursor.advance()
-        return Not(_parse_unary(cursor))
-    if token.kind == "(":
-        cursor.advance()
-        inner = _parse_formula(cursor)
-        cursor.expect_punct(")")
+        cursor.depth += 1
+        if token.kind == "!":
+            inner = Not(_parse_unary(cursor))
+        else:
+            inner = _parse_formula(cursor)
+            cursor.expect_punct(")")
+        cursor.depth -= 1
         return inner
     if token.kind == "ident":
         cursor.advance()
@@ -461,23 +466,20 @@ def assemble_bundle(documents: list[Document]) -> ParsedBundle:
     )
     findings = validate_model(model)
 
-    seen_polarity: dict[str, bool] = {}
-    literal_order: list[tuple[str, bool]] = []
+    first_polarity: dict[str, bool] = {}  # insertion order is observation order
     has_observations = any(doc.has_observations for doc in documents)
     for doc in documents:
         for name, polarity in doc.observations:
-            if name in seen_polarity:
-                if seen_polarity[name] != polarity:
-                    findings.append(
-                        ValidationFinding(
-                            "contradictory-observation",
-                            f"contradictory observation of '{name}'",
-                        )
+            if first_polarity.setdefault(name, polarity) != polarity:
+                findings.append(
+                    ValidationFinding(
+                        "contradictory-observation",
+                        f"contradictory observation of '{name}'",
                     )
-                continue
-            seen_polarity[name] = polarity
-            literal_order.append((name, polarity))
-    observations = ObservationSet(tuple(literal_order)) if has_observations else None
+                )
+    observations = (
+        ObservationSet(tuple(first_polarity.items())) if has_observations else None
+    )
     if observations is not None:
         findings.extend(validate_observations(model, observations))
 

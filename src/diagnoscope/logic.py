@@ -4,8 +4,9 @@ Causal rules are strengthened into biconditional definitions (Clark
 completion): each rule-defined observable becomes equivalent to the
 disjunction of its rule bodies. Entailment and consistency questions are
 then decided by exhaustive enumeration over hypothesis assignments, which
-is exact and fast at the scales this engine targets (capped at 2^20
-assignments by default).
+is exact and fast at the scales this engine targets. Every search here
+and in the posterior table is capped by the one size check in ``model``
+(20 hypotheses by default).
 
 Two diagnosis notions are provided:
 
@@ -22,24 +23,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     FreeObservableError,
     InconsistentScenarioError,
     NegativeObservationError,
-    SearchSpaceError,
     UnexplainableObservationError,
     UnknownAtomError,
 )
 from .formulas import Atom, Formula, conjunction, disjunction, evaluate
 from .model import (
-    DEFAULT_HYPOTHESIS_LIMIT,
     Diagnosis,
     FaultModel,
     Interpretation,
     ObservationSet,
+    _check_hypothesis_cap,
     enumerate_interpretations,
+    validate_observations,
 )
 
 
@@ -110,13 +111,17 @@ def satisfies_observations(
     )
 
 
+_OBSERVATION_ERRORS = {
+    "unknown-observable": UnknownAtomError,
+    "free-observable-observed": FreeObservableError,
+}
+
+
 def check_observations(model: FaultModel, observations: ObservationSet) -> None:
-    """Raise unless every observation literal names a rule-defined observable."""
-    for name, _polarity in observations.literals:
-        if not model.is_observable(name):
-            raise UnknownAtomError(f"unknown observable '{name}' in observations")
-        if not model.rules_by_head.get(name):
-            raise FreeObservableError(f"free observable '{name}' cannot be observed")
+    """Raise the first finding of validate_observations: every observation
+    literal must name a rule-defined observable."""
+    for finding in validate_observations(model, observations):
+        raise _OBSERVATION_ERRORS[finding.code](finding.message)
 
 
 def _extensions(
@@ -132,11 +137,7 @@ def _extensions(
             return  # self-contradictory scenario: no extensions
         fixed[name] = polarity
     free = [name for name in model.hypothesis_ids if name not in fixed]
-    cap = DEFAULT_HYPOTHESIS_LIMIT if limit is None else limit
-    if len(free) > cap:
-        raise SearchSpaceError(
-            f"hypothesis space too large: {len(free)} free hypotheses exceed the cap of {cap}"
-        )
+    _check_hypothesis_cap(len(free), limit)
     ids = model.hypothesis_ids
     for bits in itertools.product((True, False), repeat=len(free)):
         env = dict(fixed)
@@ -186,12 +187,27 @@ def maximal_scenarios(
     return out
 
 
-def _check_subset_cap(count: int, limit: int | None) -> None:
-    cap = DEFAULT_HYPOTHESIS_LIMIT if limit is None else limit
-    if count > cap:
-        raise SearchSpaceError(
-            f"hypothesis space too large: {count} hypotheses exceed the cap of {cap}"
-        )
+def _minimal_fault_sets(
+    model: FaultModel, limit: int | None, accepts: Callable[[tuple[int, ...]], bool]
+) -> list[Diagnosis]:
+    """Set-inclusion-minimal fault sets (as sorted hypothesis indices) that
+    ``accepts`` takes, ordered by cardinality then declaration order."""
+    count = len(model.hypotheses)
+    _check_hypothesis_cap(count, limit)
+    ids = model.hypothesis_ids
+    accepted: list[set[int]] = []
+    result: list[Diagnosis] = []
+    for size in range(count + 1):
+        for combo in itertools.combinations(range(count), size):
+            combo_set = set(combo)
+            if any(prev <= combo_set for prev in accepted):
+                continue
+            if accepts(combo):
+                accepted.append(combo_set)
+                result.append(Diagnosis(frozenset(ids[k] for k in combo)))
+    if not result:
+        raise UnexplainableObservationError("observation unexplainable")
+    return result
 
 
 def consistency_diagnoses(
@@ -203,26 +219,15 @@ def consistency_diagnoses(
     """Minimal fault sets whose exact-fault interpretation satisfies the
     facts and observations; ordered by cardinality then declaration order."""
     check_observations(model, observations)
-    count = len(model.hypotheses)
-    _check_subset_cap(count, limit)
     ids = model.hypothesis_ids
-    accepted: list[set[int]] = []
-    result: list[Diagnosis] = []
-    for size in range(count + 1):
-        for combo in itertools.combinations(range(count), size):
-            combo_set = set(combo)
-            if any(prev <= combo_set for prev in accepted):
-                continue
-            values = tuple(k in combo_set for k in range(count))
-            interpretation = Interpretation(ids, values)
-            if satisfies_facts(theory, interpretation) and satisfies_observations(
-                theory, interpretation, observations
-            ):
-                accepted.append(combo_set)
-                result.append(Diagnosis(frozenset(ids[k] for k in combo)))
-    if not result:
-        raise UnexplainableObservationError("observation unexplainable")
-    return result
+
+    def consistent(combo: tuple[int, ...]) -> bool:
+        interpretation = Interpretation(ids, tuple(k in combo for k in range(len(ids))))
+        return satisfies_facts(theory, interpretation) and satisfies_observations(
+            theory, interpretation, observations
+        )
+
+    return _minimal_fault_sets(model, limit, consistent)
 
 
 def abductive_explanations(
@@ -239,29 +244,16 @@ def abductive_explanations(
             raise NegativeObservationError(
                 f"abduction requires positive observations (got '!{name}')"
             )
-    count = len(model.hypotheses)
-    _check_subset_cap(count, limit)
     ids = model.hypothesis_ids
-    accepted: list[set[int]] = []
-    result: list[Diagnosis] = []
-    for size in range(count + 1):
-        for combo in itertools.combinations(range(count), size):
-            combo_set = set(combo)
-            if any(prev <= combo_set for prev in accepted):
-                continue
-            scenario = Scenario(tuple((ids[k], True) for k in combo))
-            consistent = False
-            explains = True
-            for ext in _extensions(theory, scenario, limit):
-                if not satisfies_facts(theory, ext):
-                    continue
-                consistent = True
+
+    def explains(combo: tuple[int, ...]) -> bool:
+        scenario = Scenario(tuple((ids[k], True) for k in combo))
+        consistent = False
+        for ext in _extensions(theory, scenario, limit):
+            if satisfies_facts(theory, ext):
                 if not satisfies_observations(theory, ext, observations):
-                    explains = False
-                    break
-            if consistent and explains:
-                accepted.append(combo_set)
-                result.append(Diagnosis(frozenset(ids[k] for k in combo)))
-    if not result:
-        raise UnexplainableObservationError("observation unexplainable")
-    return result
+                    return False
+                consistent = True
+        return consistent
+
+    return _minimal_fault_sets(model, limit, explains)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import SearchSpaceError, UnknownAtomError
 from .formulas import Formula, atom_names
@@ -172,9 +172,6 @@ class TreatmentAction:
     target: str
 
 
-TreatmentSet = frozenset
-
-
 @dataclass(frozen=True)
 class AdditiveEntry:
     """Per-treatment utility values for the four (chosen, faulty) cases."""
@@ -221,85 +218,53 @@ class ValidationFinding:
 def validate_model(model: FaultModel) -> list[ValidationFinding]:
     """Return every structural violation; an empty list means valid."""
     findings: list[ValidationFinding] = []
+    add = _adder(findings)
     declared: dict[str, str] = {}
     for hyp in model.hypotheses:
         if hyp.id in declared:
-            findings.append(
-                ValidationFinding(
-                    "duplicate-id", f"duplicate id: hypothesis '{hyp.id}' declared twice"
-                )
-            )
+            add("duplicate-id", f"duplicate id: hypothesis '{hyp.id}' declared twice")
         declared[hyp.id] = "hypothesis"
     for obs in model.observables:
-        if obs.id in declared:
-            kind = declared[obs.id]
-            if kind == "hypothesis":
-                findings.append(
-                    ValidationFinding(
-                        "shared-id",
-                        f"shared id: '{obs.id}' is both a hypothesis and an observable",
-                    )
-                )
-            else:
-                findings.append(
-                    ValidationFinding(
-                        "duplicate-id", f"duplicate id: observable '{obs.id}' declared twice"
-                    )
-                )
+        if declared.get(obs.id) == "hypothesis":
+            add("shared-id", f"shared id: '{obs.id}' is both a hypothesis and an observable")
+        elif obs.id in declared:
+            add("duplicate-id", f"duplicate id: observable '{obs.id}' declared twice")
         declared[obs.id] = "observable"
 
     for hyp in model.hypotheses:
         if not (isfinite(hyp.prior) and 0.0 <= hyp.prior <= 1.0):
-            findings.append(
-                ValidationFinding(
-                    "prior-out-of-range",
-                    f"prior out of range: hypothesis '{hyp.id}' has prior {hyp.prior!r}",
-                )
+            add(
+                "prior-out-of-range",
+                f"prior out of range: hypothesis '{hyp.id}' has prior {hyp.prior!r}",
             )
 
     for rule in model.rules:
         for atom in rule.body:
             if not model.is_hypothesis(atom):
-                findings.append(
-                    ValidationFinding(
-                        "unknown-hypothesis",
-                        f"unknown hypothesis: rule body atom '{atom}' is not declared",
-                    )
+                add(
+                    "unknown-hypothesis",
+                    f"unknown hypothesis: rule body atom '{atom}' is not declared",
                 )
         if not model.is_observable(rule.head):
-            findings.append(
-                ValidationFinding(
-                    "unknown-observable",
-                    f"unknown observable: rule head '{rule.head}' is not declared",
-                )
+            add(
+                "unknown-observable",
+                f"unknown observable: rule head '{rule.head}' is not declared",
             )
 
     for obs in model.observables:
         has_rules = bool(model.rules_by_head.get(obs.id))
         if not has_rules and not obs.free:
-            findings.append(
-                ValidationFinding(
-                    "undefined-observable",
-                    f"observable '{obs.id}' has no defining rule and is not declared free",
-                )
+            add(
+                "undefined-observable",
+                f"observable '{obs.id}' has no defining rule and is not declared free",
             )
         if has_rules and obs.free:
-            findings.append(
-                ValidationFinding(
-                    "free-with-rules",
-                    f"free observable '{obs.id}' also has defining rules",
-                )
-            )
+            add("free-with-rules", f"free observable '{obs.id}' also has defining rules")
 
     for fact in model.extra_facts:
         for name in sorted(atom_names(fact)):
             if not model.is_hypothesis(name):
-                findings.append(
-                    ValidationFinding(
-                        "fact-non-hypothesis-atom",
-                        f"fact mentions non-hypothesis atom '{name}'",
-                    )
-                )
+                add("fact-non-hypothesis-atom", f"fact mentions non-hypothesis atom '{name}'")
     return findings
 
 
@@ -308,22 +273,19 @@ def validate_observations(
 ) -> list[ValidationFinding]:
     """Check observation literals against the model's declarations."""
     findings: list[ValidationFinding] = []
+    add = _adder(findings)
     for name, _polarity in observations.literals:
         if not model.is_observable(name):
-            findings.append(
-                ValidationFinding(
-                    "unknown-observable",
-                    f"unknown observable: observation of '{name}' is not declared",
-                )
+            add(
+                "unknown-observable",
+                f"unknown observable: observation of '{name}' is not declared",
             )
         elif not model.rules_by_head.get(name):
             # Facts range over hypotheses only, so nothing can constrain a
             # free observable: conditioning on it would be vacuous.
-            findings.append(
-                ValidationFinding(
-                    "free-observable-observed",
-                    f"free observable '{name}' cannot be observed (no rule constrains it)",
-                )
+            add(
+                "free-observable-observed",
+                f"free observable '{name}' cannot be observed (no rule constrains it)",
             )
     return findings
 
@@ -335,73 +297,75 @@ def validate_decision_inputs(
 ) -> list[ValidationFinding]:
     """Check treatment declarations and utility references."""
     findings: list[ValidationFinding] = []
+    add = _adder(findings)
     seen: set[str] = set()
     for treatment in treatments:
         if treatment.id in seen:
-            findings.append(
-                ValidationFinding(
-                    "duplicate-id", f"duplicate id: treatment '{treatment.id}' declared twice"
-                )
-            )
+            add("duplicate-id", f"duplicate id: treatment '{treatment.id}' declared twice")
         seen.add(treatment.id)
         if not model.is_hypothesis(treatment.target):
-            findings.append(
-                ValidationFinding(
-                    "unknown-hypothesis",
-                    f"unknown hypothesis: treatment '{treatment.id}' targets '{treatment.target}'",
-                )
+            add(
+                "unknown-hypothesis",
+                f"unknown hypothesis: treatment '{treatment.id}' targets '{treatment.target}'",
             )
     if utility is None:
         return findings
 
     def check_value(value: float, context: str) -> None:
         if not isfinite(value):
-            findings.append(
-                ValidationFinding(
-                    "non-finite-utility", f"non-finite utility value in {context}"
-                )
-            )
+            add("non-finite-utility", f"non-finite utility value in {context}")
 
     for tid, entry in utility.additive.items():
         if tid not in seen:
-            findings.append(
-                ValidationFinding(
-                    "unknown-treatment",
-                    f"unknown treatment: utility entry for undeclared '{tid}'",
-                )
+            add(
+                "unknown-treatment",
+                f"unknown treatment: utility entry for undeclared '{tid}'",
             )
         for value in (entry.treat_faulty, entry.treat_ok, entry.skip_faulty, entry.skip_ok):
             check_value(value, f"additive entry for '{tid}'")
     for joint in utility.joint_entries:
         for name, _pol in joint.when:
             if not model.is_hypothesis(name):
-                findings.append(
-                    ValidationFinding(
-                        "unknown-hypothesis",
-                        f"unknown hypothesis: joint utility pattern mentions '{name}'",
-                    )
+                add(
+                    "unknown-hypothesis",
+                    f"unknown hypothesis: joint utility pattern mentions '{name}'",
                 )
         for tid, _pol in joint.given:
             if tid not in seen:
-                findings.append(
-                    ValidationFinding(
-                        "unknown-treatment",
-                        f"unknown treatment: joint utility pattern mentions '{tid}'",
-                    )
+                add(
+                    "unknown-treatment",
+                    f"unknown treatment: joint utility pattern mentions '{tid}'",
                 )
         check_value(joint.value, "joint utility entry")
     return findings
 
 
+def _adder(findings: list[ValidationFinding]) -> Callable[[str, str], None]:
+    """``add(code, message)`` appending one finding to ``findings``."""
+    return lambda code, message: findings.append(ValidationFinding(code, message))
+
+
+def _check_hypothesis_cap(count: int, limit: int | None) -> None:
+    """Refuse any search over more than ``limit`` hypotheses (default
+    DEFAULT_HYPOTHESIS_LIMIT); the one size check of the hypothesis space."""
+    cap = DEFAULT_HYPOTHESIS_LIMIT if limit is None else limit
+    if count > cap:
+        raise SearchSpaceError(
+            f"hypothesis space too large: {count} hypotheses exceed the cap of {cap}"
+        )
+
+
+def _decode(ids: tuple[str, ...], index: int) -> Interpretation:
+    count = len(ids)
+    values = tuple(not (index >> (count - 1 - k)) & 1 for k in range(count))
+    return Interpretation(ids, values)
+
+
 def interpretation_at(model: FaultModel, index: int) -> Interpretation:
     """The interpretation at ``index`` under the bit convention above."""
-    count = len(model.hypotheses)
-    if not 0 <= index < (1 << count):
+    if not 0 <= index < (1 << len(model.hypotheses)):
         raise ValueError(f"interpretation index {index} out of range")
-    values = tuple(
-        not (index >> (count - 1 - k)) & 1 for k in range(count)
-    )
-    return Interpretation(model.hypothesis_ids, values)
+    return _decode(model.hypothesis_ids, index)
 
 
 def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) -> int:
@@ -422,19 +386,6 @@ def enumerate_interpretations(
     Refuses to enumerate more than 2^limit interpretations (default cap
     DEFAULT_HYPOTHESIS_LIMIT).
     """
-    count = len(model.hypotheses)
-    cap = DEFAULT_HYPOTHESIS_LIMIT if limit is None else limit
-    if count > cap:
-        raise SearchSpaceError(
-            f"hypothesis space too large: {count} hypotheses exceed the cap of {cap}"
-        )
-    return _iter_interpretations(model, count)
-
-
-def _iter_interpretations(
-    model: FaultModel, count: int
-) -> Iterator[tuple[int, Interpretation]]:
     ids = model.hypothesis_ids
-    for index in range(1 << count):
-        values = tuple(not (index >> (count - 1 - k)) & 1 for k in range(count))
-        yield index, Interpretation(ids, values)
+    _check_hypothesis_cap(len(ids), limit)
+    return ((index, _decode(ids, index)) for index in range(1 << len(ids)))

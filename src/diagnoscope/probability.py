@@ -10,6 +10,7 @@ most likely interpretations, covering-mass sets) is a sum over table rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ZeroProbabilityObservationError
 from .formulas import Formula
@@ -43,6 +44,11 @@ class PosteriorTable:
     observations: ObservationSet
     entries: tuple[TableEntry, ...]
     evidence_probability: float
+
+
+# Returns a query's posterior table. Taken instead of a table by consumers
+# whose own checks must run (and fail) before the table is touched.
+TableSource = Callable[[], PosteriorTable]
 
 
 def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:

@@ -14,14 +14,18 @@ different reading of the question:
 
 They can disagree on the same input; compare_strategies runs all of them
 and flags every pair whose leaders differ once projected to fault sets.
+All five rankings and the treatment search are sums over one posterior
+table: the comparison builds it once and shares it, and each public
+``diagnose_*`` function is a thin adapter over the ranker registry.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
-from .decision import TreatmentDecision, optimal_treatment
+from .decision import TreatmentDecision, _optimal_treatment
 from .errors import DiagnoscopeError
 from .formulas import Atom, conjunction
 from .logic import abductive_explanations, clark_completion, consistency_diagnoses
@@ -35,6 +39,9 @@ from .model import (
 )
 from .probability import (
     DEFAULT_TIE_EPSILON,
+    PosteriorTable,
+    TableEntry,
+    TableSource,
     marginal,
     most_likely_interpretations,
     posterior_table,
@@ -58,9 +65,6 @@ class Candidate:
     score: float
     index: int | None = None
     interpretation: Interpretation | None = None
-
-    def as_diagnosis(self) -> Diagnosis:
-        return Diagnosis(self.fault_set, self.score)
 
 
 @dataclass(frozen=True)
@@ -99,38 +103,29 @@ def _ties(candidates: list[Candidate], tie_epsilon: float) -> tuple[Candidate, .
     return tuple(c for c in candidates if c.score >= top - tie_epsilon)
 
 
-def diagnose_single_fault(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+def _rank_single_fault(
+    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
 ) -> RankedDiagnoses:
-    """Hypotheses whose exactly-one-fault interpretation is still possible,
-    scored by that full interpretation's posterior. May be empty."""
-    table = posterior_table(model, observations)
+    entries = table().entries
     count = len(model.hypotheses)
     candidates: list[Candidate] = []
     for k, hypothesis in enumerate(model.hypotheses):
         index = ((1 << count) - 1) ^ (1 << (count - 1 - k))
-        entry = table.entries[index]
+        entry = entries[index]
         if entry.posterior > 0.0:
-            candidates.append(
-                Candidate(frozenset({hypothesis.id}), entry.posterior)
-            )
+            candidates.append(Candidate(frozenset({hypothesis.id}), entry.posterior))
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
     return RankedDiagnoses(
         Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates, tie_epsilon)
     )
 
 
-def diagnose_posterior(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+def _rank_posterior(
+    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
 ) -> RankedDiagnoses:
-    """Every hypothesis scored by its posterior marginal."""
-    table = posterior_table(model, observations)
+    posterior = table()
     candidates = [
-        Candidate(frozenset({hypothesis.id}), marginal(table, Atom(hypothesis.id)))
+        Candidate(frozenset({hypothesis.id}), marginal(posterior, Atom(hypothesis.id)))
         for hypothesis in model.hypotheses
     ]
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
@@ -139,42 +134,35 @@ def diagnose_posterior(
     )
 
 
-def diagnose_mpe(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
-    """All interpretations ranked by posterior; leaders per the tie rule."""
-    table = posterior_table(model, observations)
-    candidates = [
-        Candidate(
-            frozenset(entry.interpretation.true_ids()),
-            entry.posterior,
-            index=entry.index,
-            interpretation=entry.interpretation,
-        )
-        for entry in sorted(table.entries, key=lambda e: (-e.posterior, e.index))
-    ]
-    tied = tuple(
-        Candidate(
-            frozenset(entry.interpretation.true_ids()),
-            entry.posterior,
-            index=entry.index,
-            interpretation=entry.interpretation,
-        )
-        for entry in most_likely_interpretations(table, tie_epsilon)
+def _mpe_candidate(entry: TableEntry) -> Candidate:
+    return Candidate(
+        frozenset(entry.interpretation.true_ids()),
+        entry.posterior,
+        index=entry.index,
+        interpretation=entry.interpretation,
     )
-    return RankedDiagnoses(Strategy.MPE, tuple(candidates), tied)
+
+
+def _rank_mpe(
+    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
+) -> RankedDiagnoses:
+    posterior = table()
+    ranked = sorted(posterior.entries, key=lambda e: (-e.posterior, e.index))
+    tied = most_likely_interpretations(posterior, tie_epsilon)
+    return RankedDiagnoses(
+        Strategy.MPE,
+        tuple(_mpe_candidate(entry) for entry in ranked),
+        tuple(_mpe_candidate(entry) for entry in tied),
+    )
 
 
 def _scored_fault_sets(
     model: FaultModel,
-    observations: ObservationSet,
+    table: PosteriorTable,
     diagnoses: list[Diagnosis],
     tie_epsilon: float,
     strategy: Strategy,
 ) -> RankedDiagnoses:
-    table = posterior_table(model, observations)
     order = model.hypothesis_index
     candidates = []
     for diagnosis in diagnoses:
@@ -187,6 +175,68 @@ def _scored_fault_sets(
     return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates, tie_epsilon))
 
 
+# The consistency and abductive rankers run their search before fetching
+# the table, so a search error takes precedence over a table error.
+def _rank_consistency(
+    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
+) -> RankedDiagnoses:
+    diagnoses = consistency_diagnoses(clark_completion(model), model, observations)
+    return _scored_fault_sets(model, table(), diagnoses, tie_epsilon, Strategy.CONSISTENCY)
+
+
+def _rank_abductive(
+    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
+) -> RankedDiagnoses:
+    diagnoses = abductive_explanations(clark_completion(model), model, observations)
+    return _scored_fault_sets(model, table(), diagnoses, tie_epsilon, Strategy.ABDUCTIVE)
+
+
+# The one strategy registry, in report order.
+_RANKERS = {
+    Strategy.SINGLE_FAULT: _rank_single_fault,
+    Strategy.POSTERIOR: _rank_posterior,
+    Strategy.MPE: _rank_mpe,
+    Strategy.CONSISTENCY: _rank_consistency,
+    Strategy.ABDUCTIVE: _rank_abductive,
+}
+
+
+def _shared_table(model: FaultModel, observations: ObservationSet) -> TableSource:
+    """Build the posterior table on first use and reuse it afterwards."""
+    return functools.cache(lambda: posterior_table(model, observations))
+
+
+def diagnose_single_fault(
+    model: FaultModel,
+    observations: ObservationSet,
+    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+) -> RankedDiagnoses:
+    """Hypotheses whose exactly-one-fault interpretation is still possible,
+    scored by that full interpretation's posterior. May be empty."""
+    table = _shared_table(model, observations)
+    return _rank_single_fault(model, observations, table, tie_epsilon)
+
+
+def diagnose_posterior(
+    model: FaultModel,
+    observations: ObservationSet,
+    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+) -> RankedDiagnoses:
+    """Every hypothesis scored by its posterior marginal."""
+    table = _shared_table(model, observations)
+    return _rank_posterior(model, observations, table, tie_epsilon)
+
+
+def diagnose_mpe(
+    model: FaultModel,
+    observations: ObservationSet,
+    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+) -> RankedDiagnoses:
+    """All interpretations ranked by posterior; leaders per the tie rule."""
+    table = _shared_table(model, observations)
+    return _rank_mpe(model, observations, table, tie_epsilon)
+
+
 def diagnose_consistency(
     model: FaultModel,
     observations: ObservationSet,
@@ -195,11 +245,8 @@ def diagnose_consistency(
     """Minimal consistent fault sets scored by the marginal of their
     positive conjunction (normal literals are not part of the scored
     formula)."""
-    theory = clark_completion(model)
-    diagnoses = consistency_diagnoses(theory, model, observations)
-    return _scored_fault_sets(
-        model, observations, diagnoses, tie_epsilon, Strategy.CONSISTENCY
-    )
+    table = _shared_table(model, observations)
+    return _rank_consistency(model, observations, table, tie_epsilon)
 
 
 def diagnose_abductive(
@@ -208,20 +255,9 @@ def diagnose_abductive(
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> RankedDiagnoses:
     """Minimal explaining fault sets, scored as in diagnose_consistency."""
-    theory = clark_completion(model)
-    diagnoses = abductive_explanations(theory, model, observations)
-    return _scored_fault_sets(
-        model, observations, diagnoses, tie_epsilon, Strategy.ABDUCTIVE
-    )
+    table = _shared_table(model, observations)
+    return _rank_abductive(model, observations, table, tie_epsilon)
 
-
-_RUNNERS = (
-    (Strategy.SINGLE_FAULT, diagnose_single_fault),
-    (Strategy.POSTERIOR, diagnose_posterior),
-    (Strategy.MPE, diagnose_mpe),
-    (Strategy.CONSISTENCY, diagnose_consistency),
-    (Strategy.ABDUCTIVE, diagnose_abductive),
-)
 
 TREATMENT_LABEL = "treatment"
 
@@ -240,12 +276,25 @@ def compare_strategies(
     projects to the targets of the chosen treatments. Per-strategy errors
     become failure records, not exceptions.
     """
+    table = _shared_table(model, observations)
+    return _compare(model, observations, table, utility, treatments, tie_epsilon)
+
+
+def _compare(
+    model: FaultModel,
+    observations: ObservationSet,
+    table: TableSource,
+    utility: UtilityModel | None,
+    treatments: tuple[TreatmentAction, ...],
+    tie_epsilon: float = DEFAULT_TIE_EPSILON,
+) -> StrategyReport:
+    """compare_strategies over one table source shared by every ranker."""
     rankings: list[tuple[Strategy, RankedDiagnoses]] = []
     leaders: list[tuple[str, frozenset[str]]] = []
     failures: list[tuple[str, str]] = []
-    for strategy, runner in _RUNNERS:
+    for strategy, rank in _RANKERS.items():
         try:
-            ranking = runner(model, observations, tie_epsilon)
+            ranking = rank(model, observations, table, tie_epsilon)
         except DiagnoscopeError as exc:
             failures.append((strategy.value, str(exc)))
             continue
@@ -255,7 +304,7 @@ def compare_strategies(
     treatment = None
     if utility is not None:
         try:
-            treatment = optimal_treatment(model, observations, utility, treatments)
+            treatment = _optimal_treatment(table, utility, treatments)
             targets = {t.target for t in treatments if t.id in treatment.chosen}
             leaders.append((TREATMENT_LABEL, frozenset(targets)))
         except DiagnoscopeError as exc:

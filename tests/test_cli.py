@@ -271,3 +271,78 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_undecodable_file_is_a_file_error(capsys, tmp_path):
+    path = tmp_path / "bad.fdl"
+    path.write_bytes(b"hypothesis A prior 0.1\xff\n")
+    for argv in (("check", str(path)), ("interpretations", str(path), "--observe", "E")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{path}: error: 'utf-8' codec can't decode")
+
+
+def test_too_deep_formula_is_a_located_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.fdl"
+    path.write_text(
+        "hypothesis A prior 0.1\nobservable E\nrule A => E\n"
+        f"fact {'(' * 3000}A{')' * 3000}\n"
+    )
+    code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:4:")
+    assert "parse error: formula nested deeper than" in err
+
+
+def _count_table_builds(monkeypatch) -> list[int]:
+    """Count posterior_table calls through every module that binds the name."""
+    import importlib
+    import pkgutil
+
+    import diagnoscope
+    from diagnoscope import probability
+
+    calls = [0]
+    original = probability.posterior_table
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    modules = [diagnoscope] + [
+        importlib.import_module(f"diagnoscope.{info.name}")
+        for info in pkgutil.iter_modules(diagnoscope.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        if getattr(module, "posterior_table", None) is original:
+            monkeypatch.setattr(module, "posterior_table", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diagnose", "--strategy", "all"),
+        ("diagnose", "--strategy", "posterior"),
+        ("diagnose", "--strategy", "abductive", "--format", "json"),
+        ("interpretations",),
+        ("cover", "--mass", "0.9"),
+        ("treat", "--utility", UNIT_GAIN),
+    ],
+)
+def test_one_table_build_per_query(capsys, monkeypatch, tmp_path, argv):
+    # diagnose has no --utility flag, so the treatment comparison of
+    # --strategy all needs the utility lines in the model file itself.
+    path = tmp_path / "circuit4_fix.fdl"
+    path.write_text(Path(CIRCUIT4).read_text() + Path(UNIT_GAIN).read_text())
+    model = CIRCUIT4 if argv[0] == "treat" else str(path)
+    calls = _count_table_builds(monkeypatch)
+    code, out, _ = run(capsys, argv[0], model, "--observe", "E", *argv[1:])
+    assert code == 0
+    if argv[-1] == "all":
+        assert out.splitlines()[-1] == "agreement: no"
+        assert any(line.startswith("treatment: ") for line in out.splitlines())
+    assert calls[0] == 1

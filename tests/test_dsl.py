@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from diagnoscope.dsl import (
+    MAX_FORMULA_DEPTH,
     ParseError,
     assemble_bundle,
     parse_document,
@@ -200,3 +201,17 @@ def test_comments_and_blank_lines_ignored():
 def test_hyphenated_identifiers_survive():
     doc = parse_document("hypothesis pump-stuck prior 0.2\n")
     assert doc.hypotheses[0].id == "pump-stuck"
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
+def test_formula_nesting_depth_is_capped(opening, closing):
+    def fact(depth: int) -> str:
+        return f"hypothesis A prior 0.1\nfact {opening * depth}A{closing * depth}\n"
+
+    parse_document(fact(MAX_FORMULA_DEPTH))
+    with pytest.raises(ParseError) as exc_info:
+        parse_document(fact(3000))
+    error = exc_info.value
+    assert "nested deeper than" in error.message
+    # the error points at the first '(' or '!' beyond the cap
+    assert (error.span.line, error.span.column) == (2, 6 + MAX_FORMULA_DEPTH)

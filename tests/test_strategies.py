@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diagnoscope.errors import ZeroProbabilityObservationError
-from diagnoscope.formulas import And, Atom, conjunction
+from diagnoscope.formulas import And, Atom, Not, conjunction
 from diagnoscope.model import (
     AdditiveEntry,
     CausalRule,
@@ -280,3 +280,51 @@ def test_compare_strategies_records_failures(circuit4):
     assert leaders["single-fault"] == frozenset({"C"})
     assert leaders["posterior"] == frozenset({"C"})
     assert not report.agreement
+
+
+def _degenerate_model(prior_a: float, facts=()) -> FaultModel:
+    return FaultModel(
+        hypotheses=(Hypothesis("A", prior_a), Hypothesis("B", 0.2)),
+        observables=(ObservableVar("E"), ObservableVar("N")),
+        rules=(CausalRule(("A",), "E"), CausalRule(("B",), "N")),
+        extra_facts=tuple(facts),
+    )
+
+
+ZERO = "observation has zero probability"
+TABLE_STRATEGIES = ("single-fault", "posterior", "mpe")
+
+
+@pytest.mark.parametrize(
+    "prior_a, facts, observed, with_treatment, expected",
+    [
+        # {A} is logically consistent but has prior 0: every search succeeds
+        # and then fails on the table.
+        (0.0, (), ("E",), False,
+         tuple((s, ZERO) for s in TABLE_STRATEGIES + ("consistency", "abductive"))),
+        (0.0, (), ("!E", "N"), False,
+         (("abductive", "abduction requires positive observations (got '!E')"),)),
+        (0.0, (), ("E",), True,
+         tuple((s, ZERO) for s in TABLE_STRATEGIES + ("consistency", "abductive", "treatment"))),
+        # With fact !A nothing explains E: the searches fail first, with
+        # their own messages.
+        (0.3, (Not(Atom("A")),), ("E",), False,
+         tuple((s, ZERO) for s in TABLE_STRATEGIES)
+         + (("consistency", "observation unexplainable"),
+            ("abductive", "observation unexplainable"))),
+        (0.3, (Not(Atom("A")),), ("E", "!N"), False,
+         tuple((s, ZERO) for s in TABLE_STRATEGIES)
+         + (("consistency", "observation unexplainable"),
+            ("abductive", "abduction requires positive observations (got '!N')"))),
+    ],
+)
+def test_compare_strategies_failure_records_on_degenerate_input(
+    prior_a, facts, observed, with_treatment, expected
+):
+    model = _degenerate_model(prior_a, facts)
+    utility, treatments = None, ()
+    if with_treatment:
+        utility = UtilityModel({"t": AdditiveEntry(1.0, -1.0, 0.0, 0.0)})
+        treatments = (TreatmentAction("t", "A"),)
+    report = compare_strategies(model, ObservationSet.of(*observed), utility, treatments)
+    assert report.failures == expected
