@@ -15,28 +15,19 @@ ignored):
 Joint-utility literals accept ``!`` on hypothesis ids (fault absent) and on
 treatment ids (treatment not chosen). Identifiers may contain internal
 hyphens (``treat-faulty`` is one token); ``true`` and ``false`` are
-reserved. Parsing stops at the first syntax error; semantic problems
-(priors out of range, unknown ids, contradictory observations, ...) are
-collected as validation findings on the parsed bundle instead.
+reserved. Numbers are plain decimals (``-2.5``, ``0.00001``), without
+exponent notation. Parsing stops at the first syntax error; semantic
+problems (priors out of range, unknown ids, contradictory observations,
+...) are collected as validation findings on the parsed bundle instead.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DiagnoscopeError
-from .formulas import (
-    FALSE,
-    TRUE,
-    Atom,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    conjunction,
-    disjunction,
-    render,
-)
+from .formulas import CONNECTIVES, FALSE, TRUE, Atom, Formula, Not, render
 from .model import (
     AdditiveEntry,
     CausalRule,
@@ -66,9 +57,16 @@ _STATEMENT_KEYWORDS = (
 
 _ADDITIVE_LABELS = ("treat-faulty", "treat-ok", "skip-faulty", "skip-ok")
 
-# Deepest nesting of '(' and '!' accepted in one formula; deeper input is a
-# parse error instead of a RecursionError in the parser or the evaluator.
+# Deepest nesting accepted in one formula, counting each '(', '!' and
+# '->'/'<->' chain operator; deeper input is a parse error instead of a
+# RecursionError in the parser or the evaluator.
 MAX_FORMULA_DEPTH = 100
+
+_PUNCTUATION = ("=>", "(", ")", "!", *(c.spelling for c in CONNECTIVES))
+# Longest first, so that '<->' is not read as '<' followed by '->'.
+_PUNCTUATION_PATTERN = re.compile(
+    "|".join(map(re.escape, sorted(_PUNCTUATION, key=len, reverse=True)))
+)
 
 
 @dataclass(frozen=True)
@@ -109,24 +107,20 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
             i += 1
             continue
         start = i
-        matched_multi = None
-        for punct in ("<->", "->", "=>"):
-            if text.startswith(punct, i):
-                matched_multi = punct
-                break
-        if matched_multi is not None:
-            tokens.append(
-                Token(matched_multi, matched_multi, SourceSpan(line_no, start + 1, len(matched_multi)))
-            )
-            i += len(matched_multi)
+        match = _PUNCTUATION_PATTERN.match(text, i)
+        if match is not None:
+            punct = match.group()
+            tokens.append(Token(punct, punct, SourceSpan(line_no, start + 1, len(punct))))
+            i += len(punct)
             continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: superscripts are digits that float() rejects
+        if ch.isdecimal() or (ch in "+-" and i + 1 < n and text[i + 1].isdecimal()):
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdecimal():
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
             tokens.append(
                 Token("number", text[start:i], SourceSpan(line_no, start + 1, i - start))
@@ -145,10 +139,6 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
                 Token("ident", text[start:i], SourceSpan(line_no, start + 1, i - start))
             )
             continue
-        if ch in "()!&|":
-            tokens.append(Token(ch, ch, SourceSpan(line_no, start + 1, 1)))
-            i += 1
-            continue
         raise ParseError(
             SourceSpan(line_no, start + 1, 1), f"unexpected character {ch!r}"
         )
@@ -162,7 +152,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0  # open '(' and '!' in the formula being parsed
+        self.depth = 0  # open '(', '!' and chain operators in the formula being parsed
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -187,6 +177,15 @@ class _Cursor:
         return ParseError(
             token.span, f"expected {what}, found '{token.text}'", expected
         )
+
+    def descend(self) -> None:
+        """Consume a token that nests what follows one level deeper."""
+        if self.depth == MAX_FORMULA_DEPTH:
+            raise ParseError(
+                self.peek().span, f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            )
+        self.advance()
+        self.depth += 1
 
     def expect_ident(self, what: str = "identifier") -> Token:
         token = self.peek()
@@ -240,7 +239,6 @@ class Document:
     rules: list[CausalRule] = field(default_factory=list)
     facts: list[Formula] = field(default_factory=list)
     observations: list[tuple[str, bool]] = field(default_factory=list)
-    has_observations: bool = False
     treatments: list[TreatmentAction] = field(default_factory=list)
     additive: list[tuple[str, AdditiveEntry]] = field(default_factory=list)
     joints: list[JointEntry] = field(default_factory=list)
@@ -324,7 +322,6 @@ def _parse_observe(cursor: _Cursor, doc: Document) -> None:
     literal = _parse_literal(cursor, "observable identifier")
     cursor.expect_end()
     doc.observations.append(literal)
-    doc.has_observations = True
 
 
 def _parse_treatment(cursor: _Cursor, doc: Document) -> None:
@@ -383,42 +380,21 @@ _STATEMENT_PARSERS = {
 }
 
 
-def _parse_formula(cursor: _Cursor) -> Formula:
-    return _parse_iff(cursor)
-
-
-def _parse_iff(cursor: _Cursor) -> Formula:
-    left = _parse_implies(cursor)
-    token = cursor.peek()
-    if token is not None and token.kind == "<->":
-        cursor.advance()
-        return Iff(left, _parse_iff(cursor))
-    return left
-
-
-def _parse_implies(cursor: _Cursor) -> Formula:
-    left = _parse_or(cursor)
-    token = cursor.peek()
-    if token is not None and token.kind == "->":
-        cursor.advance()
-        return Implies(left, _parse_implies(cursor))
-    return left
-
-
-def _parse_or(cursor: _Cursor) -> Formula:
-    items = [_parse_and(cursor)]
-    while not cursor.at_end() and cursor.peek().kind == "|":
-        cursor.advance()
-        items.append(_parse_and(cursor))
-    return disjunction(items)
-
-
-def _parse_and(cursor: _Cursor) -> Formula:
-    items = [_parse_unary(cursor)]
-    while not cursor.at_end() and cursor.peek().kind == "&":
-        cursor.advance()
-        items.append(_parse_unary(cursor))
-    return conjunction(items)
+def _parse_formula(cursor: _Cursor, level: int = 0) -> Formula:
+    """A formula whose loosest connective is ``CONNECTIVES[level]`` or tighter."""
+    if level == len(CONNECTIVES):
+        return _parse_unary(cursor)
+    connective = CONNECTIVES[level]
+    depth = cursor.depth
+    operands = [_parse_formula(cursor, level + 1)]
+    while not cursor.at_end() and cursor.peek().kind == connective.spelling:
+        if connective.nary:
+            cursor.advance()
+        else:
+            cursor.descend()  # each chain operator nests its right operand
+        operands.append(_parse_formula(cursor, level + 1))
+    cursor.depth = depth
+    return connective.join(operands)
 
 
 def _parse_unary(cursor: _Cursor) -> Formula:
@@ -426,10 +402,7 @@ def _parse_unary(cursor: _Cursor) -> Formula:
     if token is None:
         raise cursor.fail("formula", ("identifier", "'!'", "'('", "true", "false"))
     if token.kind in ("!", "("):
-        if cursor.depth == MAX_FORMULA_DEPTH:
-            raise ParseError(token.span, f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
-        cursor.advance()
-        cursor.depth += 1
+        cursor.descend()
         if token.kind == "!":
             inner = Not(_parse_unary(cursor))
         else:
@@ -467,7 +440,6 @@ def assemble_bundle(documents: list[Document]) -> ParsedBundle:
     findings = validate_model(model)
 
     first_polarity: dict[str, bool] = {}  # insertion order is observation order
-    has_observations = any(doc.has_observations for doc in documents)
     for doc in documents:
         for name, polarity in doc.observations:
             if first_polarity.setdefault(name, polarity) != polarity:
@@ -478,7 +450,7 @@ def assemble_bundle(documents: list[Document]) -> ParsedBundle:
                     )
                 )
     observations = (
-        ObservationSet(tuple(first_polarity.items())) if has_observations else None
+        ObservationSet(tuple(first_polarity.items())) if first_polarity else None
     )
     if observations is not None:
         findings.extend(validate_observations(model, observations))
@@ -508,7 +480,13 @@ def parse_model_file(text: str) -> ParsedBundle:
 
 
 def _format_number(value: float) -> str:
-    return repr(float(value))
+    # Imported here because only serialization needs it: importing decimal
+    # adds about 0.4 MB to every command-line run, which never serializes.
+    from decimal import Decimal
+
+    # .fdl numbers are plain decimals: the positional form of the shortest
+    # repr, which parses back to the same float.
+    return format(Decimal(repr(float(value))), "f")
 
 
 def _format_literals(literals: tuple[tuple[str, bool], ...]) -> str:

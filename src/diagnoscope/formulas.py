@@ -2,15 +2,15 @@
 
 Formulas are immutable and hashable. Evaluation is resolver-based: callers
 supply the mapping from atom names to truth values, which lets the logic
-layer substitute rule-defined observables transparently. Rendering emits
-the same operator spellings the model language uses (``! & | -> <->``)
-with minimal parentheses.
+layer substitute rule-defined observables transparently. ``CONNECTIVES``
+is the one table of binary connectives: the model-language parser and
+``render`` both read their spellings, precedence and associativity from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 class Formula:
@@ -51,41 +51,72 @@ class Implies(Formula):
     antecedent: Formula
     consequent: Formula
 
+    @property
+    def operands(self) -> tuple[Formula, Formula]:
+        return (self.antecedent, self.consequent)
+
 
 @dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
+    @property
+    def operands(self) -> tuple[Formula, Formula]:
+        return (self.left, self.right)
+
 
 def conjunction(operands: Iterable[Formula]) -> Formula:
     """n-ary conjunction; flattens nested conjunctions, empty input is TRUE."""
-    flat: list[Formula] = []
-    for op in operands:
-        if isinstance(op, And):
-            flat.extend(op.operands)
-        else:
-            flat.append(op)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _flatten(And, operands, TRUE)
 
 
 def disjunction(operands: Iterable[Formula]) -> Formula:
     """n-ary disjunction; flattens nested disjunctions, empty input is FALSE."""
+    return _flatten(Or, operands, FALSE)
+
+
+def _flatten(
+    node: type, operands: Iterable[Formula], empty: Formula | None = None
+) -> Formula | None:
     flat: list[Formula] = []
     for op in operands:
-        if isinstance(op, Or):
+        if isinstance(op, node):
             flat.extend(op.operands)
         else:
             flat.append(op)
     if not flat:
-        return FALSE
+        return empty
     if len(flat) == 1:
         return flat[0]
-    return Or(tuple(flat))
+    return node(tuple(flat))
+
+
+@dataclass(frozen=True)
+class Connective:
+    """A binary connective of the model language."""
+
+    spelling: str
+    node: type
+    nary: bool  # n-ary and flattened; otherwise binary and right-associative
+
+    def join(self, operands: Sequence[Formula]) -> Formula:
+        """Join one or more operands: flattened if n-ary, else folded to the right."""
+        if self.nary:
+            return _flatten(self.node, operands)
+        joined = operands[-1]
+        for operand in reversed(operands[:-1]):
+            joined = self.node(operand, joined)
+        return joined
+
+
+# Loosest first; '!', atoms and constants bind tighter than all of them.
+CONNECTIVES = (
+    Connective("<->", Iff, nary=False),
+    Connective("->", Implies, nary=False),
+    Connective("|", Or, nary=True),
+    Connective("&", And, nary=True),
+)
 
 
 def atom_names(formula: Formula) -> frozenset[str]:
@@ -98,14 +129,8 @@ def atom_names(formula: Formula) -> frozenset[str]:
             names.add(node.name)
         elif isinstance(node, Not):
             stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
+        elif isinstance(node, (And, Or, Implies, Iff)):
             stack.extend(node.operands)
-        elif isinstance(node, Implies):
-            stack.append(node.antecedent)
-            stack.append(node.consequent)
-        elif isinstance(node, Iff):
-            stack.append(node.left)
-            stack.append(node.right)
     return frozenset(names)
 
 
@@ -130,50 +155,26 @@ def evaluate(formula: Formula, resolve: Callable[[str], bool]) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-# Operator precedence, loosest first; atoms and constants bind tightest.
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_NOT = 5
-_PREC_ATOM = 6
-
-
 def render(formula: Formula) -> str:
     """Render in model-language syntax with minimal parentheses."""
     return _render(formula, 0)
 
 
-def _render(formula: Formula, min_prec: int) -> str:
+def _render(formula: Formula, min_level: int) -> str:
+    """``min_level`` indexes ``CONNECTIVES``; looser connectives get parentheses."""
     if isinstance(formula, Const):
         return "true" if formula.value else "false"
     if isinstance(formula, Atom):
         return formula.name
     if isinstance(formula, Not):
-        return "!" + _render(formula.operand, _PREC_NOT)
-    if isinstance(formula, And):
-        text = " & ".join(_render(op, _PREC_AND) for op in formula.operands)
-        return _wrap(text, _PREC_AND, min_prec)
-    if isinstance(formula, Or):
-        text = " | ".join(_render(op, _PREC_OR) for op in formula.operands)
-        return _wrap(text, _PREC_OR, min_prec)
-    if isinstance(formula, Implies):
-        # right-associative: antecedent needs strictly tighter binding
-        text = (
-            _render(formula.antecedent, _PREC_IMPLIES + 1)
-            + " -> "
-            + _render(formula.consequent, _PREC_IMPLIES)
-        )
-        return _wrap(text, _PREC_IMPLIES, min_prec)
-    if isinstance(formula, Iff):
-        text = (
-            _render(formula.left, _PREC_IFF + 1)
-            + " <-> "
-            + _render(formula.right, _PREC_IFF)
-        )
-        return _wrap(text, _PREC_IFF, min_prec)
+        return "!" + _render(formula.operand, len(CONNECTIVES))
+    for level, connective in enumerate(CONNECTIVES):
+        if isinstance(formula, connective.node):
+            first, *rest = formula.operands
+            # a right-associative connective's left operand binds strictly tighter
+            first_level = level if connective.nary else level + 1
+            text = f" {connective.spelling} ".join(
+                [_render(first, first_level)] + [_render(op, level) for op in rest]
+            )
+            return f"({text})" if level < min_level else text
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def _wrap(text: str, prec: int, min_prec: int) -> str:
-    return f"({text})" if prec < min_prec else text

@@ -36,6 +36,7 @@ from .model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
+    index_of_assignment,
 )
 from .probability import (
     DEFAULT_TIE_EPSILON,
@@ -107,11 +108,9 @@ def _rank_single_fault(
     model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
 ) -> RankedDiagnoses:
     entries = table().entries
-    count = len(model.hypotheses)
     candidates: list[Candidate] = []
-    for k, hypothesis in enumerate(model.hypotheses):
-        index = ((1 << count) - 1) ^ (1 << (count - 1 - k))
-        entry = entries[index]
+    for hypothesis in model.hypotheses:
+        entry = entries[index_of_assignment(model, {hypothesis.id})]
         if entry.posterior > 0.0:
             candidates.append(Candidate(frozenset({hypothesis.id}), entry.posterior))
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))

@@ -186,11 +186,12 @@ def test_cover_rejects_bad_mass(capsys):
 
 def test_parse_error_exit_code_and_location(capsys, tmp_path):
     path = tmp_path / "bad.fdl"
-    path.write_text("rule B & => E\n")
-    code, out, err = run(capsys, "check", str(path))
-    assert code == 2
-    assert out == ""
-    assert f"{path}:1:8: parse error" in err
+    for text, location in [("rule B & => E\n", "1:8"), ("hypothesis A prior \u00b2\n", "1:20")]:
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:{location}: parse error" in err
 
 
 def test_parse_error_in_utility_file_names_it(capsys, tmp_path):
@@ -285,15 +286,14 @@ def test_undecodable_file_is_a_file_error(capsys, tmp_path):
 
 def test_too_deep_formula_is_a_located_parse_error(capsys, tmp_path):
     path = tmp_path / "deep.fdl"
-    path.write_text(
-        "hypothesis A prior 0.1\nobservable E\nrule A => E\n"
-        f"fact {'(' * 3000}A{')' * 3000}\n"
-    )
-    code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"{path}:4:")
-    assert "parse error: formula nested deeper than" in err
+    for formula in ["(" * 3000 + "A" + ")" * 3000, " -> ".join(["A"] * 3000), " <-> ".join(["A"] * 3000)]:
+        path.write_text(f"hypothesis A prior 0.1\nobservable E\nrule A => E\nfact {formula}\n")
+        code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{path}:4:")
+        assert "parse error: formula nested deeper than" in err
+        assert "Traceback" not in err
 
 
 def _count_table_builds(monkeypatch) -> list[int]:

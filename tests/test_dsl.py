@@ -1,19 +1,40 @@
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagnoscope.dsl import (
     MAX_FORMULA_DEPTH,
+    Document,
     ParseError,
     assemble_bundle,
     parse_document,
     parse_model_file,
     serialize_bundle,
 )
-from diagnoscope.formulas import And, Atom, Iff, Implies, Not, Or, TRUE
-from diagnoscope.model import AdditiveEntry, JointEntry
+from diagnoscope.formulas import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    conjunction,
+    disjunction,
+)
+from diagnoscope.model import (
+    AdditiveEntry,
+    CausalRule,
+    Hypothesis,
+    JointEntry,
+    ObservableVar,
+    TreatmentAction,
+)
 
 from .conftest import FIXTURES
 
@@ -67,6 +88,7 @@ def test_various_parse_errors():
         ("observe\n", "observable identifier"),
         ("hypothesis A prior 0.5 extra\n", "after statement"),
         ("fact A @ B\n", "unexpected character"),
+        ("hypothesis A prior \u00b2\n", "unexpected character"),
         ("utility FixA treat-faulty 1 skip-faulty 0 treat-ok -1 skip-ok 0\n", "treat-ok"),
     ]:
         with pytest.raises(ParseError) as exc_info:
@@ -183,6 +205,87 @@ def test_round_trip_is_structurally_identical():
     assert serialize_bundle(second) == serialized
 
 
+def _chains(children, node):
+    """Right-associative chains of two to four operands, as the parser builds them."""
+    return st.lists(children, min_size=2, max_size=4).map(
+        lambda operands: functools.reduce(lambda right, left: node(left, right), reversed(operands))
+    )
+
+
+def _formulas(names):
+    def extend(children):
+        operands = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            children.map(Not),
+            operands.map(conjunction),
+            operands.map(disjunction),
+            _chains(children, Implies),
+            _chains(children, Iff),
+            st.builds(Implies, children, children),
+            st.builds(Iff, children, children),
+        )
+
+    leaves = st.sampled_from([Atom(name) for name in names] + [TRUE, FALSE])
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _literals(names):
+    return st.lists(
+        st.tuples(st.sampled_from(names), st.booleans()),
+        min_size=1, max_size=3, unique_by=lambda literal: literal[0],
+    ).map(tuple)
+
+
+@st.composite
+def _bundles(draw):
+    names = [f"H{k}" for k in range(draw(st.integers(1, 4)))]
+    priors = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-05, 5e-324, 1e-100]))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    targets = draw(st.lists(st.sampled_from(names), unique=True))
+    treatments = [TreatmentAction(f"fix-{name}", name) for name in targets]
+    joints = []
+    if treatments:
+        joint = st.builds(
+            JointEntry, _literals(names), _literals([t.id for t in treatments]), values
+        )
+        joints = draw(st.lists(joint, max_size=2))
+    document = Document(
+        hypotheses=[Hypothesis(name, draw(priors)) for name in names],
+        observables=[ObservableVar("E"), ObservableVar("F", free=True)],
+        rules=[
+            CausalRule(tuple(draw(st.lists(st.sampled_from(names), unique=True))), "E")
+            for _ in range(draw(st.integers(1, 3)))
+        ],
+        facts=draw(st.lists(_formulas(names), max_size=3)),
+        observations=draw(st.sampled_from([[], [("E", True)], [("E", False)]])),
+        treatments=treatments,
+        additive=[
+            (t.id, AdditiveEntry(*draw(st.tuples(values, values, values, values))))
+            for t in treatments
+        ],
+        joints=joints,
+    )
+    return assemble_bundle([document])
+
+
+@settings(derandomize=True, deadline=None)
+@given(_bundles())
+def test_round_trip_property(bundle):
+    assert parse_model_file(serialize_bundle(bundle)) == bundle
+
+
+def test_numbers_are_written_as_plain_decimals():
+    bundle = parse_model_file(
+        "hypothesis A prior 0.00001\nobservable E\nrule A => E\n"
+        "treatment FixA targets A\n"
+        "utility FixA treat-faulty 100000000000000000000 treat-ok -0.5 skip-faulty 0 skip-ok 1\n"
+    )
+    text = serialize_bundle(bundle)
+    assert "prior 0.00001\n" in text
+    assert "treat-faulty 100000000000000000000 treat-ok -0.5 skip-faulty 0.0 skip-ok 1.0" in text
+    assert parse_model_file(text) == bundle
+
+
 def test_round_trip_all_fixture_files():
     for path in sorted(FIXTURES.glob("*.fdl")):
         first = parse_model_file(path.read_text())
@@ -203,15 +306,20 @@ def test_hyphenated_identifiers_survive():
     assert doc.hypotheses[0].id == "pump-stuck"
 
 
-@pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
+@pytest.mark.parametrize(
+    "opening, closing", [("(", ")"), ("!", ""), ("A -> ", ""), ("A <-> ", "")]
+)
 def test_formula_nesting_depth_is_capped(opening, closing):
     def fact(depth: int) -> str:
         return f"hypothesis A prior 0.1\nfact {opening * depth}A{closing * depth}\n"
 
     parse_document(fact(MAX_FORMULA_DEPTH))
-    with pytest.raises(ParseError) as exc_info:
-        parse_document(fact(3000))
-    error = exc_info.value
-    assert "nested deeper than" in error.message
-    # the error points at the first '(' or '!' beyond the cap
-    assert (error.span.line, error.span.column) == (2, 6 + MAX_FORMULA_DEPTH)
+    for depth in (MAX_FORMULA_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as exc_info:
+            parse_document(fact(depth))
+        error = exc_info.value
+        assert "nested deeper than" in error.message
+        # the error points at the first '(', '!' or chain operator beyond the cap
+        token = opening.strip("A ")
+        column = 6 + MAX_FORMULA_DEPTH * len(opening) + opening.index(token)
+        assert (error.span.line, error.span.column, error.span.length) == (2, column, len(token))
