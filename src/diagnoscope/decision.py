@@ -1,9 +1,12 @@
 """Utility-based treatment selection over the posterior table.
 
 Utility is state-based: the value of a treatment set depends on which
-hypotheses are actually faulty, not on any diagnosis object. Expected
-utility sums over posterior-table rows; the optimizer sweeps all 2^l
-treatment subsets exhaustively. For purely additive utilities each
+hypotheses are actually faulty, not on any diagnosis object
+(``state_utility``). Expected utility is linear in the row weights, so it
+is computed from the posterior masses of each treatment's target and of
+each joint term's ``when`` pattern, read from the table once per query;
+the optimizer then scores all 2^l treatment subsets exhaustively, each in
+O(treatments + joint terms). For purely additive utilities each
 treatment also has a closed-form probability threshold above which
 treating beats skipping.
 """
@@ -11,10 +14,11 @@ treating beats skipping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NoFiniteThresholdError, SearchSpaceError
-from .formulas import Atom
 from .model import (
     AdditiveEntry,
     FaultModel,
@@ -24,7 +28,7 @@ from .model import (
     UtilityModel,
     ZERO_ENTRY,
 )
-from .probability import PosteriorTable, TableSource, marginal, posterior_table
+from .probability import PosteriorTable, TableSource, _literal_mass, posterior_table
 
 DEFAULT_TREATMENT_LIMIT = 20
 
@@ -66,6 +70,46 @@ def state_utility(
     return total
 
 
+def _utility_parts(
+    table: PosteriorTable,
+    utility: UtilityModel,
+    treatments: tuple[TreatmentAction, ...],
+) -> Callable[[frozenset[str]], list[float]]:
+    """The terms whose sum is a treatment set's expected utility.
+
+    Expected utility is linear in the row weights, so one pass over the
+    table for each treatment's P(target faulty) and each joint term's
+    P(when) is enough: a set's terms are then p*v(faulty) + (1-p)*v(ok)
+    per treatment, in declaration order, and p_when * value per joint term
+    whose ``given`` matches the set.
+    """
+    per_treatment = []
+    for treatment in treatments:
+        entry = utility.additive.get(treatment.id, ZERO_ENTRY)
+        p = _literal_mass(table, ((treatment.target, True),))
+        treat, skip = (
+            p * _entry_value(entry, treating, True)
+            + (1.0 - p) * _entry_value(entry, treating, False)
+            for treating in (True, False)
+        )
+        per_treatment.append((treatment.id, treat, skip))
+    per_joint = [
+        (joint.given, _literal_mass(table, joint.when) * joint.value)
+        for joint in utility.joint_entries
+    ]
+
+    def parts(selected: frozenset[str]) -> list[float]:
+        terms = [treat if tid in selected else skip for tid, treat, skip in per_treatment]
+        terms.extend(
+            value
+            for given, value in per_joint
+            if all((tid in selected) == pol for tid, pol in given)
+        )
+        return terms
+
+    return parts
+
+
 def expected_utility_over_table(
     table: PosteriorTable,
     utility: UtilityModel,
@@ -73,10 +117,7 @@ def expected_utility_over_table(
     selected: frozenset[str],
 ) -> float:
     """Expectation of state_utility under an already-built posterior table."""
-    return sum(
-        entry.posterior * state_utility(entry.interpretation, selected, utility, treatments)
-        for entry in table.entries
-    )
+    return math.fsum(_utility_parts(table, utility, treatments)(selected))
 
 
 def expected_utility(
@@ -118,27 +159,20 @@ def _optimal_treatment(
         raise SearchSpaceError(
             f"treatment space too large: {len(treatments)} treatments exceed the cap of {limit}"
         )
-    posterior = table()
+    parts = _utility_parts(table(), utility, treatments)
     ids = sorted(treatment.id for treatment in treatments)
     best_set: frozenset[str] = frozenset()
     best_utility = float("-inf")
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             selected = frozenset(combo)
-            value = expected_utility_over_table(posterior, utility, treatments, selected)
+            value = math.fsum(parts(selected))
             if value > best_utility:
                 best_utility = value
                 best_set = selected
     breakdown: dict[str, float] | None = None
     if not utility.joint_entries:
-        breakdown = {}
-        for treatment in treatments:
-            entry = utility.additive.get(treatment.id, ZERO_ENTRY)
-            treating = treatment.id in best_set
-            faulty_prob = marginal(posterior, Atom(treatment.target))
-            breakdown[treatment.id] = faulty_prob * _entry_value(
-                entry, treating, True
-            ) + (1.0 - faulty_prob) * _entry_value(entry, treating, False)
+        breakdown = dict(zip((t.id for t in treatments), parts(best_set)))
     return TreatmentDecision(best_set, best_utility, breakdown)
 
 

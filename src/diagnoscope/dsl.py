@@ -493,8 +493,26 @@ def _format_literals(literals: tuple[tuple[str, bool], ...]) -> str:
     return " & ".join(name if pol else f"!{name}" for name, pol in literals)
 
 
+def _fact_line(fact: Formula) -> str:
+    """The ``fact`` line for ``fact``, read back by the parser's own formula
+    reader so that its nesting is counted exactly as the parser counts it."""
+    text = render(fact)
+    try:
+        _parse_formula(_Cursor(_tokenize_line(text, 1)))
+    except ParseError as exc:
+        raise ValueError(f"fact cannot be written as .fdl: {exc.message}") from None
+    return f"fact {text}"
+
+
 def serialize_bundle(bundle: ParsedBundle) -> str:
-    """Render a bundle back to source text; reparsing yields an equal bundle."""
+    """Render a bundle back to source text.
+
+    Reparsing yields an equal bundle when the bundle is in the parser's
+    normal form: nested conjunctions and disjunctions read back flattened,
+    so a fact ``And((And((A, A)), A))`` returns as ``And((A, A, A))``.
+    Raises ValueError for a fact the parser would reject, such as one
+    nested deeper than MAX_FORMULA_DEPTH levels.
+    """
     lines: list[str] = []
     for hypothesis in bundle.model.hypotheses:
         lines.append(
@@ -507,7 +525,7 @@ def serialize_bundle(bundle: ParsedBundle) -> str:
         body = " & ".join(rule.body) if rule.body else "true"
         lines.append(f"rule {body} => {rule.head}")
     for fact in bundle.model.extra_facts:
-        lines.append(f"fact {render(fact)}")
+        lines.append(_fact_line(fact))
     if bundle.observations is not None:
         for name, polarity in bundle.observations.literals:
             lines.append(f"observe {name}" if polarity else f"observe !{name}")

@@ -3,10 +3,12 @@
 Causal rules are strengthened into biconditional definitions (Clark
 completion): each rule-defined observable becomes equivalent to the
 disjunction of its rule bodies. Entailment and consistency questions are
-then decided by exhaustive enumeration over hypothesis assignments, which
-is exact and fast at the scales this engine targets. Every search here
-and in the posterior table is capped by the one size check in ``model``
-(20 hypotheses by default).
+then decided exactly over the hypothesis assignments: abduction evaluates
+the facts and observations once per assignment into row bitmasks and
+checks each candidate fault set with bit operations; the consistency
+search and the scenario queries evaluate the assignments they concern
+directly. Every search here and in the posterior table is capped by the
+one size check in ``model`` (20 hypotheses by default).
 
 Two diagnosis notions are provided:
 
@@ -244,16 +246,34 @@ def abductive_explanations(
             raise NegativeObservationError(
                 f"abduction requires positive observations (got '!{name}')"
             )
-    ids = model.hypothesis_ids
+    # One pass over the rows: ``facts`` holds the rows that satisfy the
+    # facts, ``bad`` those of them that contradict the observations.
+    facts = bad = 0
+    for index, interpretation in enumerate_interpretations(model, limit=limit):
+        if satisfies_facts(theory, interpretation):
+            facts |= 1 << index
+            if not satisfies_observations(theory, interpretation, observations):
+                bad |= 1 << index
+    count = len(model.hypotheses)
+    faulty_rows = [_faulty_rows(count, k) for k in range(count)]
 
     def explains(combo: tuple[int, ...]) -> bool:
-        scenario = Scenario(tuple((ids[k], True) for k in combo))
-        consistent = False
-        for ext in _extensions(theory, scenario, limit):
-            if satisfies_facts(theory, ext):
-                if not satisfies_observations(theory, ext, observations):
-                    return False
-                consistent = True
-        return consistent
+        # The set's fact-satisfying extensions: rows where all of it is faulty.
+        extensions = facts
+        for k in combo:
+            extensions &= faulty_rows[k]
+        return extensions != 0 and extensions & bad == 0
 
     return _minimal_fault_sets(model, limit, explains)
+
+
+def _faulty_rows(count: int, k: int) -> int:
+    """Bitmask (bit i for row i) of the rows where hypothesis ``k`` of
+    ``count`` is faulty, i.e. its index bit is 0: runs of ``half`` ones and
+    ``half`` zeros from row 0, widened by doubling."""
+    half = 1 << (count - 1 - k)
+    mask, width = (1 << half) - 1, 2 * half
+    while width < 1 << count:
+        mask |= mask << width
+        width *= 2
+    return mask

@@ -10,9 +10,9 @@ most likely interpretations, covering-mass sets) is a sum over table rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .errors import ZeroProbabilityObservationError
+from .errors import UnknownAtomError, ZeroProbabilityObservationError
 from .formulas import Formula
 from .logic import (
     CompletedTheory,
@@ -90,6 +90,25 @@ def marginal(table: PosteriorTable, formula: Formula) -> float:
         for entry in table.entries
         if evaluate_formula(table.theory, formula, entry.interpretation)
     )
+
+
+def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -> float:
+    """Posterior mass of a conjunction of hypothesis literals: the sum over
+    the rows whose index bits match, in index order, so it equals
+    ``marginal`` of the same conjunction to the last bit."""
+    model = table.model
+    count = len(model.hypotheses)
+    mask = want = 0
+    for name, polarity in literals:
+        if not model.is_hypothesis(name):
+            raise UnknownAtomError(f"unknown atom '{name}'")
+        bit = 1 << (count - 1 - model.hypothesis_index[name])
+        value = 0 if polarity else bit  # a 1 bit means the hypothesis is normal
+        if mask & bit and want & bit != value:
+            return 0.0  # contradictory literals: no row matches
+        mask |= bit
+        want |= value
+    return sum(entry.posterior for entry in table.entries if entry.index & mask == want)
 
 
 def most_likely_interpretations(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
 from .errors import DiagnoscopeError
-from .formulas import Atom, conjunction
 from .logic import abductive_explanations, clark_completion, consistency_diagnoses
 from .model import (
     Diagnosis,
@@ -43,7 +42,7 @@ from .probability import (
     PosteriorTable,
     TableEntry,
     TableSource,
-    marginal,
+    _literal_mass,
     most_likely_interpretations,
     posterior_table,
 )
@@ -124,7 +123,9 @@ def _rank_posterior(
 ) -> RankedDiagnoses:
     posterior = table()
     candidates = [
-        Candidate(frozenset({hypothesis.id}), marginal(posterior, Atom(hypothesis.id)))
+        Candidate(
+            frozenset({hypothesis.id}), _literal_mass(posterior, ((hypothesis.id, True),))
+        )
         for hypothesis in model.hypotheses
     ]
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
@@ -162,12 +163,12 @@ def _scored_fault_sets(
     tie_epsilon: float,
     strategy: Strategy,
 ) -> RankedDiagnoses:
-    order = model.hypothesis_index
-    candidates = []
-    for diagnosis in diagnoses:
-        names = sorted(diagnosis.faulty, key=lambda n: order[n])
-        score = marginal(table, conjunction([Atom(name) for name in names]))
-        candidates.append(Candidate(diagnosis.faulty, score))
+    candidates = [
+        Candidate(
+            diagnosis.faulty, _literal_mass(table, ((name, True) for name in diagnosis.faulty))
+        )
+        for diagnosis in diagnoses
+    ]
     candidates.sort(
         key=lambda c: (-c.score, len(c.fault_set), _decl_key(model, c.fault_set))
     )

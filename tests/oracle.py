@@ -117,6 +117,32 @@ def satisfying_fault_sets(
     return out
 
 
+def explaining_fault_sets(
+    model: FaultModel, observations: tuple[tuple[str, bool], ...]
+) -> list[frozenset[str]]:
+    """Fault sets S, any order, such that some fact-satisfying assignment
+    makes every hypothesis of S faulty, and every such assignment
+    satisfies the observations."""
+    ids = tuple(h.id for h in model.hypotheses)
+    rules = rules_of(model)
+    assignments = (
+        dict(zip(ids, bits)) for bits in itertools.product((False, True), repeat=len(ids))
+    )
+    # (assignment, satisfies the observations) for every fact-satisfying assignment
+    extensions = [
+        (assignment, possible(model, assignment, observations))
+        for assignment in assignments
+        if all(eval_formula(fact, assignment, rules) for fact in model.extra_facts)
+    ]
+    out = []
+    for bits in itertools.product((False, True), repeat=len(ids)):
+        faulty = frozenset(name for name, val in zip(ids, bits) if val)
+        verdicts = [ok for assignment, ok in extensions if all(assignment[n] for n in faulty)]
+        if verdicts and all(verdicts):
+            out.append(faulty)
+    return out
+
+
 def minimal_sets(sets: list[frozenset[str]]) -> set[frozenset[str]]:
     """Subset-minimal elements by full pairwise comparison."""
     return {

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagnoscope.decision import (
     additive_fix_threshold,
@@ -13,7 +14,12 @@ from diagnoscope.decision import (
     optimal_treatment,
     state_utility,
 )
-from diagnoscope.errors import NoFiniteThresholdError, SearchSpaceError
+from diagnoscope.errors import (
+    NoFiniteThresholdError,
+    SearchSpaceError,
+    UnknownAtomError,
+    ZeroProbabilityObservationError,
+)
 from diagnoscope.formulas import Atom
 from diagnoscope.model import (
     AdditiveEntry,
@@ -26,8 +32,9 @@ from diagnoscope.model import (
     UtilityModel,
 )
 from diagnoscope.probability import marginal, posterior_table
+from diagnoscope.strategies import compare_strategies
 
-from .oracle import random_model, ruled_observables
+from .oracle import random_formula, random_model, ruled_observables
 
 UNIT_GAIN = AdditiveEntry(1.0, -1.0, 0.0, 0.0)
 MISS_PENALTY = AdditiveEntry(1.0, -1.0, -10.0, 0.0)
@@ -305,3 +312,107 @@ def test_state_utility_joint_matching(circuit4, gate_treatments):
     assert state_utility(only_a, frozenset({"FixA", "FixD"}), utility, gate_treatments) == 0.0
     all_normal = interpretation_at(circuit4, 15)
     assert state_utility(all_normal, frozenset({"FixA"}), utility, gate_treatments) == 0.0
+
+
+@st.composite
+def _decision_problems(draw):
+    """A random model with facts and priors of 0 and 1, observations,
+    treatments (some without an additive entry) and joint terms, one of
+    them possibly with a contradictory ``when``."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    base = random_model(rng, max_hypotheses=5, max_observables=2, max_rules=5)
+    ids = list(base.hypothesis_ids)
+    priors = {name: draw(st.floats(0.01, 0.99)) for name in ids}
+    for name in draw(st.lists(st.sampled_from(ids), unique=True, max_size=2)):
+        priors[name] = draw(st.sampled_from([0.0, 1.0]))
+    facts = tuple(
+        random_formula(rng, ids) for _ in range(draw(st.integers(0, 2)))
+    )
+    model = dataclasses.replace(
+        base,
+        hypotheses=tuple(Hypothesis(name, priors[name]) for name in ids),
+        extra_facts=facts,
+    )
+    ruled = ruled_observables(model)
+    observed = draw(st.lists(st.sampled_from(ruled), unique=True, max_size=2))
+    observations = ObservationSet(tuple((name, draw(st.booleans())) for name in observed))
+    targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5))
+    treatments = tuple(TreatmentAction(f"T{k}", name) for k, name in enumerate(targets))
+    values = st.floats(-10.0, 10.0)
+    additive = {
+        t.id: AdditiveEntry(*draw(st.tuples(values, values, values, values)))
+        for t in treatments
+        if draw(st.booleans())
+    }
+    state_literals = st.tuples(st.sampled_from(ids), st.booleans())
+    choice_literals = st.tuples(st.sampled_from([t.id for t in treatments]), st.booleans())
+    joints = draw(
+        st.lists(
+            st.builds(
+                JointEntry,
+                st.lists(state_literals, min_size=1, max_size=3).map(tuple),
+                st.lists(choice_literals, max_size=3).map(tuple),
+                values,
+            ),
+            max_size=3,
+        )
+    )
+    if joints and draw(st.booleans()):
+        name = draw(st.sampled_from(ids))
+        joints[0] = dataclasses.replace(joints[0], when=((name, True), (name, False)))
+    return model, observations, UtilityModel(additive, tuple(joints)), treatments
+
+
+@settings(derandomize=True, deadline=None)
+@given(_decision_problems())
+def test_treatment_search_matches_row_by_row_expectation(problem):
+    model, observations, utility, treatments = problem
+    try:
+        table = posterior_table(model, observations)
+    except ZeroProbabilityObservationError:
+        return
+    ids = [t.id for t in treatments]
+    exhaustive = {}
+    for size in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
+            selected = frozenset(combo)
+            exhaustive[selected] = row_by_row_eu(table, utility, treatments, selected)
+            assert expected_utility_over_table(
+                table, utility, treatments, selected
+            ) == pytest.approx(exhaustive[selected], abs=1e-9)
+    best = max(exhaustive.values())
+    decision = optimal_treatment(model, observations, utility, treatments)
+    assert decision.expected_utility >= best - 1e-9 * max(1.0, abs(best))
+    assert decision.expected_utility == pytest.approx(exhaustive[decision.chosen], abs=1e-9)
+    if decision.per_treatment_breakdown is not None:
+        assert sum(decision.per_treatment_breakdown.values()) == pytest.approx(
+            decision.expected_utility, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("target", ["E", "Z"])
+def test_treatment_of_a_non_hypothesis_is_an_unknown_atom(
+    circuit4, observe_current, target
+):
+    treatments = (TreatmentAction("FixA", "A"), TreatmentAction("Fix", target))
+    utility = unit_gain_utility(treatments)
+    message = f"^unknown atom '{target}'$"
+    with pytest.raises(UnknownAtomError, match=message):
+        optimal_treatment(circuit4, observe_current, utility, treatments)
+    with pytest.raises(UnknownAtomError, match=message):
+        expected_utility(circuit4, observe_current, utility, treatments, frozenset())
+    report = compare_strategies(circuit4, observe_current, utility, treatments)
+    assert report.failures == (("treatment", f"unknown atom '{target}'"),)
+
+
+def test_joint_pattern_on_an_observable_is_an_unknown_atom(
+    circuit4, observe_current, gate_treatments
+):
+    utility = UtilityModel(
+        joint_entries=(JointEntry((("A", True), ("E", True)), (("FixA", True),), 1.0),)
+    )
+    with pytest.raises(UnknownAtomError, match="^unknown atom 'E'$"):
+        optimal_treatment(circuit4, observe_current, utility, gate_treatments)
+    report = compare_strategies(circuit4, observe_current, utility, gate_treatments)
+    assert report.failures == (("treatment", "unknown atom 'E'"),)

@@ -286,6 +286,37 @@ def test_numbers_are_written_as_plain_decimals():
     assert parse_model_file(text) == bundle
 
 
+def _bundle_with_fact(fact):
+    document = Document(
+        hypotheses=[Hypothesis("A", 0.1)],
+        observables=[ObservableVar("E")],
+        rules=[CausalRule(("A",), "E")],
+        facts=[fact],
+    )
+    return assemble_bundle([document])
+
+
+def _nested_not(depth):
+    fact = Atom("A")
+    for _ in range(depth):
+        fact = Not(fact)
+    return fact
+
+
+def test_serializer_refuses_facts_nested_deeper_than_the_parser_reads():
+    bundle = _bundle_with_fact(_nested_not(MAX_FORMULA_DEPTH))
+    assert parse_model_file(serialize_bundle(bundle)) == bundle
+    with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+        serialize_bundle(_bundle_with_fact(_nested_not(150)))
+
+
+def test_round_trip_holds_for_the_parsers_normal_form():
+    nested = _bundle_with_fact(And((And((Atom("A"), Atom("A"))), Atom("A"))))
+    reparsed = parse_model_file(serialize_bundle(nested))
+    assert reparsed.model.extra_facts == (And((Atom("A"), Atom("A"), Atom("A"))),)
+    assert parse_model_file(serialize_bundle(reparsed)) == reparsed
+
+
 def test_round_trip_all_fixture_files():
     for path in sorted(FIXTURES.glob("*.fdl")):
         first = parse_model_file(path.read_text())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -33,7 +34,14 @@ from diagnoscope.model import (
     interpretation_at,
 )
 
-from .oracle import minimal_sets, random_model, ruled_observables, satisfying_fault_sets
+from .oracle import (
+    explaining_fault_sets,
+    minimal_sets,
+    random_formula,
+    random_model,
+    ruled_observables,
+    satisfying_fault_sets,
+)
 
 
 def interp(model, **values: bool) -> Interpretation:
@@ -288,6 +296,37 @@ def test_consistency_matches_brute_force_oracle():
             (len(d.faulty), tuple(sorted(order[n] for n in d.faulty))) for d in result
         ]
         assert keys == sorted(keys)
+
+
+def test_abduction_matches_brute_force_oracle_with_facts():
+    """Random models with facts (up to 8 hypotheses) and positive
+    observations: the explanations are the minimal explaining fault sets
+    of the oracle, ordered by cardinality, then declaration order."""
+    rng = random.Random(29)
+    checked = 0
+    for trial in range(160):
+        model = random_model(
+            rng, max_hypotheses=4 if trial < 60 else 8, max_observables=3, max_rules=8
+        )
+        atoms = list(model.hypothesis_ids)
+        facts = tuple(random_formula(rng, atoms) for _ in range(rng.randint(1, 2)))
+        model = dataclasses.replace(model, extra_facts=facts)
+        theory = clark_completion(model)
+        ruled = ruled_observables(model)
+        observations = ObservationSet.of(*rng.sample(ruled, rng.randint(1, len(ruled))))
+        order = model.hypothesis_index
+        expected = sorted(
+            minimal_sets(explaining_fault_sets(model, observations.literals)),
+            key=lambda s: (len(s), sorted(order[n] for n in s)),
+        )
+        try:
+            result = abductive_explanations(theory, model, observations)
+        except UnexplainableObservationError:
+            assert expected == []
+            continue
+        assert [d.faulty for d in result] == expected
+        checked += 1
+    assert checked >= 80
 
 
 def test_consistency_at_twelve_hypotheses():

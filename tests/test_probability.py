@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from diagnoscope.errors import ZeroProbabilityObservationError
-from diagnoscope.formulas import TRUE, And, Atom, Not
+from diagnoscope.errors import UnknownAtomError, ZeroProbabilityObservationError
+from diagnoscope.formulas import TRUE, And, Atom, Not, conjunction
 from diagnoscope.model import (
     CausalRule,
     FaultModel,
@@ -15,6 +15,7 @@ from diagnoscope.model import (
     interpretation_at,
 )
 from diagnoscope.probability import (
+    _literal_mass,
     covering_mass_set,
     joint_prior,
     marginal,
@@ -205,6 +206,26 @@ def test_marginal_equals_brute_force_sum():
                 table, Not(Atom(hypothesis.id))
             )
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_literal_mass_is_the_marginal_of_the_conjunction():
+    """Same rows, same order: equal to the last bit, contradictions
+    included; a name that is not a hypothesis is an unknown atom."""
+    rng = random.Random(47)
+    for _ in range(60):
+        model = random_model(rng, max_hypotheses=5, max_rules=4)
+        table = posterior_table(model, ObservationSet())
+        ids = model.hypothesis_ids
+        literals = [(rng.choice(ids), rng.random() < 0.5) for _ in range(rng.randint(0, 4))]
+        formula = conjunction(
+            [Atom(name) if polarity else Not(Atom(name)) for name, polarity in literals]
+        )
+        assert _literal_mass(table, literals) == marginal(table, formula)
+    circuit4 = make_circuit4()
+    table = posterior_table(circuit4, ObservationSet.of("E"))
+    for name in ("E", "Z"):
+        with pytest.raises(UnknownAtomError, match=f"^unknown atom '{name}'$"):
+            _literal_mass(table, (("A", True), (name, True)))
 
 
 def test_mpe_ignores_added_independent_variable():
