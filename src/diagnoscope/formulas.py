@@ -2,15 +2,21 @@
 
 Formulas are immutable and hashable. Evaluation is resolver-based: callers
 supply the mapping from atom names to truth values, which lets the logic
-layer substitute rule-defined observables transparently. ``CONNECTIVES``
-is the one table of binary connectives: the model-language parser and
-``render`` both read their spellings, precedence and associativity from it.
+layer substitute rule-defined observables transparently. The same walk
+evaluates one row (bools) or every row at once (int bitmasks, one bit per
+row). ``CONNECTIVES`` is the one table of binary connectives: the
+model-language parser and ``render`` both read their spellings, precedence
+and associativity from it.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
+
+Truth = TypeVar("Truth", bool, int)
 
 
 class Formula:
@@ -134,25 +140,28 @@ def atom_names(formula: Formula) -> frozenset[str]:
     return frozenset(names)
 
 
-def evaluate(formula: Formula, resolve: Callable[[str], bool]) -> bool:
-    """Evaluate under ``resolve``, which maps atom names to truth values."""
+def evaluate(
+    formula: Formula, resolve: Callable[[str], Truth], true: Truth = True
+) -> Truth:
+    """Evaluate under ``resolve``, which maps atom names to truth values:
+    bools, or int bitmasks with one bit per row where ``true`` sets every
+    row. Connectives are bitwise, so every operand is evaluated."""
     if isinstance(formula, Const):
-        return formula.value
+        return true if formula.value else true ^ true
     if isinstance(formula, Atom):
         return resolve(formula.name)
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, resolve)
+        return true ^ evaluate(formula.operand, resolve, true)
+    if not isinstance(formula, (And, Or, Implies, Iff)):
+        raise TypeError(f"not a formula: {formula!r}")
+    values = [evaluate(op, resolve, true) for op in formula.operands]
     if isinstance(formula, And):
-        return all(evaluate(op, resolve) for op in formula.operands)
+        return functools.reduce(operator.and_, values, true)
     if isinstance(formula, Or):
-        return any(evaluate(op, resolve) for op in formula.operands)
+        return functools.reduce(operator.or_, values, true ^ true)
     if isinstance(formula, Implies):
-        return (not evaluate(formula.antecedent, resolve)) or evaluate(
-            formula.consequent, resolve
-        )
-    if isinstance(formula, Iff):
-        return evaluate(formula.left, resolve) == evaluate(formula.right, resolve)
-    raise TypeError(f"not a formula: {formula!r}")
+        return (true ^ values[0]) | values[1]
+    return true ^ values[0] ^ values[1]  # Iff
 
 
 def render(formula: Formula) -> str:

@@ -2,13 +2,14 @@
 
 Causal rules are strengthened into biconditional definitions (Clark
 completion): each rule-defined observable becomes equivalent to the
-disjunction of its rule bodies. Entailment and consistency questions are
-then decided exactly over the hypothesis assignments: abduction evaluates
-the facts and observations once per assignment into row bitmasks and
-checks each candidate fault set with bit operations; the consistency
-search and the scenario queries evaluate the assignments they concern
-directly. Every search here and in the posterior table is capped by the
-one size check in ``model`` (20 hypotheses by default).
+disjunction of its rule bodies. Every question is then decided exactly
+over the 2^m hypothesis assignments (the rows, in ``model``'s index
+order) in one representation: a formula's row mask has bit i set where it
+holds on row i (``_rows``). Facts, observations, scenarios and marginal
+formulas are masks; a fault set S is its exact-fault row, so a family of
+fault sets is a mask too, whose minimal sets come from m shift-ORs. The
+one size check in ``model`` (20 hypotheses by default) runs before any
+mask is built.
 
 Two diagnosis notions are provided:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 from .errors import (
     FreeObservableError,
@@ -34,14 +35,14 @@ from .errors import (
     UnexplainableObservationError,
     UnknownAtomError,
 )
-from .formulas import Atom, Formula, conjunction, disjunction, evaluate
+from .formulas import Atom, Formula, Not, Truth, conjunction, disjunction, evaluate
 from .model import (
     Diagnosis,
     FaultModel,
     Interpretation,
     ObservationSet,
     _check_hypothesis_cap,
-    enumerate_interpretations,
+    interpretation_at,
     validate_observations,
 )
 
@@ -77,40 +78,78 @@ def clark_completion(model: FaultModel) -> CompletedTheory:
     return CompletedTheory(model, definitions)
 
 
-def evaluate_formula(
-    theory: CompletedTheory, formula: Formula, interpretation: Interpretation
-) -> bool:
-    """Evaluate ``formula``, expanding observables through their definitions."""
-    mapping = interpretation.mapping
+def _evaluate(
+    theory: CompletedTheory,
+    formula: Formula,
+    value: Callable[[str], Truth],
+    true: Truth,
+) -> Truth:
+    """Evaluate ``formula`` with ``value(name)`` for each hypothesis atom,
+    expanding observables through their definitions."""
     model = theory.model
 
-    def resolve(name: str) -> bool:
-        if name in mapping:
-            return mapping[name]
+    def resolve(name: str) -> Truth:
+        if model.is_hypothesis(name):
+            return value(name)
         definition = theory.definitions.get(name)
         if definition is not None:
-            return evaluate(definition, resolve)
+            return evaluate(definition, resolve, true)
         if model.is_observable(name):
             raise FreeObservableError(f"free observable '{name}' has no definition")
         raise UnknownAtomError(f"unknown atom '{name}'")
 
-    return evaluate(formula, resolve)
+    return evaluate(formula, resolve, true)
 
 
-def satisfies_facts(theory: CompletedTheory, interpretation: Interpretation) -> bool:
-    return all(
-        evaluate_formula(theory, fact, interpretation)
-        for fact in theory.model.extra_facts
+def evaluate_formula(
+    theory: CompletedTheory, formula: Formula, interpretation: Interpretation
+) -> bool:
+    """Evaluate ``formula`` on one row, expanding observables through their
+    definitions."""
+    return _evaluate(theory, formula, interpretation.value, True)
+
+
+def _rows(theory: CompletedTheory, formula: Formula) -> int:
+    """The row mask of ``formula``: bit i is set where it holds on row i."""
+    count = len(theory.model.hypotheses)
+    index = theory.model.hypothesis_index
+    every_row = (1 << (1 << count)) - 1
+    return _evaluate(
+        theory, formula, lambda name: _faulty_rows(count, index[name]), every_row
     )
 
 
 def satisfies_observations(
     theory: CompletedTheory, interpretation: Interpretation, observations: ObservationSet
 ) -> bool:
-    return all(
-        evaluate_formula(theory, Atom(name), interpretation) == polarity
-        for name, polarity in observations.literals
+    """One row's test of the observations: the per-row reference of the masks."""
+    return evaluate_formula(theory, _literals(observations.literals), interpretation)
+
+
+def _literals(literals: Iterable[tuple[str, bool]]) -> Formula:
+    """The conjunction of (name, polarity) literals."""
+    return conjunction(
+        Atom(name) if polarity else Not(Atom(name)) for name, polarity in literals
     )
+
+
+def _possible_rows(
+    theory: CompletedTheory, literals: tuple[tuple[str, bool], ...], limit: int | None
+) -> int:
+    """The rows that satisfy the facts and every literal. Every query over
+    the rows starts here, so the size check runs before any mask is built."""
+    model = theory.model
+    _check_hypothesis_cap(len(model.hypotheses), limit)
+    return _rows(theory, conjunction(model.extra_facts + (_literals(literals),)))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(mask: int, size: int) -> bytes:
+    """Byte i is 1 where bit i of ``mask`` is set, else 0, for i < ``size``;
+    the form ``itertools.compress`` takes."""
+    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
 _OBSERVATION_ERRORS = {
@@ -126,25 +165,10 @@ def check_observations(model: FaultModel, observations: ObservationSet) -> None:
         raise _OBSERVATION_ERRORS[finding.code](finding.message)
 
 
-def _extensions(
-    theory: CompletedTheory, scenario: Scenario, limit: int | None
-) -> Iterator[Interpretation]:
-    """All total assignments extending the scenario's literals."""
-    model = theory.model
-    fixed: dict[str, bool] = {}
-    for name, polarity in scenario.asserted:
+def _check_scenario(model: FaultModel, scenario: Scenario) -> None:
+    for name, _polarity in scenario.asserted:
         if not model.is_hypothesis(name):
             raise UnknownAtomError(f"unknown hypothesis '{name}' in scenario")
-        if fixed.get(name, polarity) != polarity:
-            return  # self-contradictory scenario: no extensions
-        fixed[name] = polarity
-    free = [name for name in model.hypothesis_ids if name not in fixed]
-    _check_hypothesis_cap(len(free), limit)
-    ids = model.hypothesis_ids
-    for bits in itertools.product((True, False), repeat=len(free)):
-        env = dict(fixed)
-        env.update(zip(free, bits))
-        yield Interpretation(ids, tuple(env[name] for name in ids))
 
 
 def scenario_consistent(
@@ -155,10 +179,9 @@ def scenario_consistent(
 ) -> bool:
     """True iff some extension satisfies the facts and all observations."""
     check_observations(theory.model, observations)
-    return any(
-        satisfies_facts(theory, ext) and satisfies_observations(theory, ext, observations)
-        for ext in _extensions(theory, scenario, limit)
-    )
+    _check_scenario(theory.model, scenario)
+    literals = observations.literals + scenario.asserted
+    return _possible_rows(theory, literals, limit) != 0
 
 
 def scenario_explains(
@@ -168,13 +191,11 @@ def scenario_explains(
     limit: int | None = None,
 ) -> bool:
     """True iff every fact-satisfying extension of the scenario satisfies ``goal``."""
-    if not scenario_consistent(theory, scenario, limit=limit):
+    _check_scenario(theory.model, scenario)
+    extensions = _possible_rows(theory, scenario.asserted, limit)
+    if not extensions:
         raise InconsistentScenarioError("inconsistent scenario")
-    return all(
-        evaluate_formula(theory, goal, ext)
-        for ext in _extensions(theory, scenario, limit)
-        if satisfies_facts(theory, ext)
-    )
+    return extensions & ~_rows(theory, goal) == 0
 
 
 def maximal_scenarios(
@@ -182,34 +203,42 @@ def maximal_scenarios(
 ) -> list[Scenario]:
     """All set-inclusion-maximal consistent scenarios, i.e. the total
     assignments satisfying the hard constraints, in index order."""
-    out: list[Scenario] = []
-    for _index, interpretation in enumerate_interpretations(model, limit=limit):
-        if satisfies_facts(theory, interpretation):
-            out.append(Scenario(interpretation.literals()))
-    return out
+    facts = _possible_rows(theory, (), limit)
+    size = 1 << len(model.hypotheses)
+    rows = itertools.compress(itertools.count(), _selectors(facts, size))
+    return [Scenario(interpretation_at(model, row).literals()) for row in rows]
 
 
-def _minimal_fault_sets(
-    model: FaultModel, limit: int | None, accepts: Callable[[tuple[int, ...]], bool]
-) -> list[Diagnosis]:
-    """Set-inclusion-minimal fault sets (as sorted hypothesis indices) that
-    ``accepts`` takes, ordered by cardinality then declaration order."""
+def _closure(rows: int, count: int, up: bool) -> int:
+    """Close a row mask under setting (``up``) or clearing index bits, one
+    shift-OR per bit (the fast zeta transform): as a set index bit means
+    normal, closing up adds every subset of each row's fault set and
+    closing down every superset."""
+    for k in range(count):
+        shift = 1 << (count - 1 - k)  # hypothesis k's index bit
+        faulty = _faulty_rows(count, k)  # the rows where that bit is 0
+        rows |= (rows & faulty) << shift if up else (rows & ~faulty) >> shift
+    return rows
+
+
+def _minimal_fault_sets(model: FaultModel, family: int) -> list[Diagnosis]:
+    """The set-inclusion-minimal fault sets of a family, given as the row
+    mask of its members' exact-fault rows; ordered by cardinality then
+    declaration order."""
     count = len(model.hypotheses)
-    _check_hypothesis_cap(count, limit)
-    ids = model.hypothesis_ids
-    accepted: list[set[int]] = []
-    result: list[Diagnosis] = []
-    for size in range(count + 1):
-        for combo in itertools.combinations(range(count), size):
-            combo_set = set(combo)
-            if any(prev <= combo_set for prev in accepted):
-                continue
-            if accepts(combo):
-                accepted.append(combo_set)
-                result.append(Diagnosis(frozenset(ids[k] for k in combo)))
-    if not result:
+    supersets = _closure(family, count, up=False)
+    for k in range(count):
+        # A member holding k is not minimal when, without k, it is still a
+        # superset of a member: shifting the rows of ``supersets`` where k
+        # is normal down by k's index bit adds k back.
+        family &= ~((supersets & ~_faulty_rows(count, k)) >> (1 << (count - 1 - k)))
+    rows = itertools.compress(itertools.count(), _selectors(family, 1 << count))
+    # Fewest faults (most normal index bits) first; within one size, index
+    # order is declaration order (the order of itertools.combinations).
+    rows = sorted(rows, key=lambda row: -row.bit_count())
+    if not rows:
         raise UnexplainableObservationError("observation unexplainable")
-    return result
+    return [Diagnosis(frozenset(interpretation_at(model, row).true_ids())) for row in rows]
 
 
 def consistency_diagnoses(
@@ -221,15 +250,8 @@ def consistency_diagnoses(
     """Minimal fault sets whose exact-fault interpretation satisfies the
     facts and observations; ordered by cardinality then declaration order."""
     check_observations(model, observations)
-    ids = model.hypothesis_ids
-
-    def consistent(combo: tuple[int, ...]) -> bool:
-        interpretation = Interpretation(ids, tuple(k in combo for k in range(len(ids))))
-        return satisfies_facts(theory, interpretation) and satisfies_observations(
-            theory, interpretation, observations
-        )
-
-    return _minimal_fault_sets(model, limit, consistent)
+    good = _possible_rows(theory, observations.literals, limit)
+    return _minimal_fault_sets(model, good)
 
 
 def abductive_explanations(
@@ -246,25 +268,13 @@ def abductive_explanations(
             raise NegativeObservationError(
                 f"abduction requires positive observations (got '!{name}')"
             )
-    # One pass over the rows: ``facts`` holds the rows that satisfy the
-    # facts, ``bad`` those of them that contradict the observations.
-    facts = bad = 0
-    for index, interpretation in enumerate_interpretations(model, limit=limit):
-        if satisfies_facts(theory, interpretation):
-            facts |= 1 << index
-            if not satisfies_observations(theory, interpretation, observations):
-                bad |= 1 << index
+    facts = _possible_rows(theory, (), limit)
+    bad = facts & ~_rows(theory, _literals(observations.literals))
     count = len(model.hypotheses)
-    faulty_rows = [_faulty_rows(count, k) for k in range(count)]
-
-    def explains(combo: tuple[int, ...]) -> bool:
-        # The set's fact-satisfying extensions: rows where all of it is faulty.
-        extensions = facts
-        for k in combo:
-            extensions &= faulty_rows[k]
-        return extensions != 0 and extensions & bad == 0
-
-    return _minimal_fault_sets(model, limit, explains)
+    # S explains when some fact row makes all of S faulty, and no fact row
+    # that contradicts the observations does.
+    family = _closure(facts, count, up=True) & ~_closure(bad, count, up=True)
+    return _minimal_fault_sets(model, family)
 
 
 def _faulty_rows(count: int, k: int) -> int:

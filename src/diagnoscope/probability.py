@@ -1,14 +1,17 @@
 """Exact posterior computation over interpretations by enumeration.
 
 The posterior table conditions the product prior on the observations and
-hard constraints: each interpretation's weight is its joint prior times an
-indicator, normalized by the evidence probability. Impossible rows keep an
-exact 0.0. Every downstream probability (marginals of arbitrary formulas,
-most likely interpretations, covering-mass sets) is a sum over table rows.
+hard constraints: each interpretation's weight is its joint prior if its
+row is in the row mask of the facts and observations (``logic``), else an
+exact 0.0, normalized by the evidence probability. Every downstream
+probability (marginals of arbitrary formulas, most likely
+interpretations, covering-mass sets) is a sum over table rows in index
+order; a marginal sums the rows of its formula's mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -16,11 +19,12 @@ from .errors import UnknownAtomError, ZeroProbabilityObservationError
 from .formulas import Formula
 from .logic import (
     CompletedTheory,
-    satisfies_facts,
-    satisfies_observations,
+    _literals,
+    _possible_rows,
+    _rows,
+    _selectors,
     check_observations,
     clark_completion,
-    evaluate_formula,
 )
 from .model import FaultModel, Interpretation, ObservationSet, enumerate_interpretations
 
@@ -65,13 +69,12 @@ def posterior_table(
     """Condition the product prior on the observations and hard constraints."""
     check_observations(model, observations)
     theory = clark_completion(model)
-    weighted: list[tuple[int, Interpretation, float]] = []
-    for index, interpretation in enumerate_interpretations(model, limit=limit):
-        possible = satisfies_facts(theory, interpretation) and satisfies_observations(
-            theory, interpretation, observations
-        )
-        weight = joint_prior(model, interpretation) if possible else 0.0
-        weighted.append((index, interpretation, weight))
+    good = _possible_rows(theory, observations.literals, limit)
+    possible = _selectors(good, 1 << len(model.hypotheses))
+    weighted = [
+        (index, interpretation, joint_prior(model, interpretation) if possible[index] else 0.0)
+        for index, interpretation in enumerate_interpretations(model, limit=limit)
+    ]
     evidence = sum(weight for _, _, weight in weighted)
     if evidence == 0.0:
         raise ZeroProbabilityObservationError("observation has zero probability")
@@ -83,32 +86,22 @@ def posterior_table(
 
 
 def marginal(table: PosteriorTable, formula: Formula) -> float:
-    """Posterior probability of an arbitrary formula: the sum over rows
-    satisfying it (observables expanded through their definitions)."""
-    return sum(
-        entry.posterior
-        for entry in table.entries
-        if evaluate_formula(table.theory, formula, entry.interpretation)
-    )
+    """Posterior probability of an arbitrary formula: the sum over the rows
+    satisfying it (observables expanded through their definitions), in
+    index order."""
+    selected = _selectors(_rows(table.theory, formula), len(table.entries))
+    posteriors = (entry.posterior for entry in table.entries)
+    return sum(itertools.compress(posteriors, selected), 0.0)
 
 
 def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -> float:
-    """Posterior mass of a conjunction of hypothesis literals: the sum over
-    the rows whose index bits match, in index order, so it equals
-    ``marginal`` of the same conjunction to the last bit."""
-    model = table.model
-    count = len(model.hypotheses)
-    mask = want = 0
-    for name, polarity in literals:
-        if not model.is_hypothesis(name):
+    """Posterior mass of a conjunction of hypothesis literals; a name that
+    is not a hypothesis, observables included, is an unknown atom."""
+    literals = tuple(literals)
+    for name, _polarity in literals:
+        if not table.model.is_hypothesis(name):
             raise UnknownAtomError(f"unknown atom '{name}'")
-        bit = 1 << (count - 1 - model.hypothesis_index[name])
-        value = 0 if polarity else bit  # a 1 bit means the hypothesis is normal
-        if mask & bit and want & bit != value:
-            return 0.0  # contradictory literals: no row matches
-        mask |= bit
-        want |= value
-    return sum(entry.posterior for entry in table.entries if entry.index & mask == want)
+    return marginal(table, _literals(literals))
 
 
 def most_likely_interpretations(

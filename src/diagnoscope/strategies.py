@@ -22,7 +22,6 @@ table: the comparison builds it once and shares it, and each public
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
@@ -202,8 +201,21 @@ _RANKERS = {
 
 
 def _shared_table(model: FaultModel, observations: ObservationSet) -> TableSource:
-    """Build the posterior table on first use and reuse it afterwards."""
-    return functools.cache(lambda: posterior_table(model, observations))
+    """Build the posterior table on first use; later uses get the same
+    table, or the same error if the build failed."""
+    built: list[PosteriorTable | DiagnoscopeError] = []
+
+    def table() -> PosteriorTable:
+        if not built:
+            try:
+                built.append(posterior_table(model, observations))
+            except DiagnoscopeError as exc:
+                built.append(exc)
+        if isinstance(built[0], DiagnoscopeError):
+            raise built[0]
+        return built[0]
+
+    return table
 
 
 def diagnose_single_fault(

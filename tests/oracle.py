@@ -206,3 +206,49 @@ def random_formula(rng: random.Random, atoms: list[str], depth: int = 2) -> Form
     if kind == 3:
         return Implies(left, right)
     return Iff(left, right)
+
+
+def fact_assignments(model: FaultModel) -> list[dict[str, bool]]:
+    """Every total assignment satisfying the facts, in index order."""
+    ids = tuple(h.id for h in model.hypotheses)
+    rules = rules_of(model)
+    assignments = (assignment_for_index(ids, index) for index in range(1 << len(ids)))
+    return [
+        assignment
+        for assignment in assignments
+        if all(eval_formula(fact, assignment, rules) for fact in model.extra_facts)
+    ]
+
+
+def scenario_extensions(
+    model: FaultModel, asserted: tuple[tuple[str, bool], ...]
+) -> list[dict[str, bool]]:
+    """The fact-satisfying assignments that agree with every asserted literal."""
+    return [
+        assignment
+        for assignment in fact_assignments(model)
+        if all(assignment[name] == polarity for name, polarity in asserted)
+    ]
+
+
+def scenario_is_consistent(
+    model: FaultModel,
+    asserted: tuple[tuple[str, bool], ...],
+    observations: tuple[tuple[str, bool], ...],
+) -> bool:
+    return any(
+        possible(model, assignment, observations)
+        for assignment in scenario_extensions(model, asserted)
+    )
+
+
+def scenario_entails(
+    model: FaultModel, asserted: tuple[tuple[str, bool], ...], goal: Formula
+) -> bool | None:
+    """Whether every extension of the scenario satisfies ``goal``; None
+    when the scenario has no extension at all."""
+    extensions = scenario_extensions(model, asserted)
+    if not extensions:
+        return None
+    rules = rules_of(model)
+    return all(eval_formula(goal, assignment, rules) for assignment in extensions)

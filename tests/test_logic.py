@@ -10,10 +10,11 @@ from diagnoscope.errors import (
     FreeObservableError,
     InconsistentScenarioError,
     NegativeObservationError,
+    SearchSpaceError,
     UnexplainableObservationError,
     UnknownAtomError,
 )
-from diagnoscope.formulas import TRUE, And, Atom, Not, Or
+from diagnoscope.formulas import FALSE, TRUE, And, Atom, Not, Or
 from diagnoscope.logic import (
     Scenario,
     abductive_explanations,
@@ -33,6 +34,7 @@ from diagnoscope.model import (
     ObservationSet,
     interpretation_at,
 )
+from diagnoscope.probability import marginal, posterior_table
 
 from .oracle import (
     explaining_fault_sets,
@@ -101,6 +103,38 @@ def test_evaluate_errors(circuit4):
     )
     with pytest.raises(FreeObservableError):
         evaluate_formula(clark_completion(free_model), Atom("F"), row)
+
+
+def test_an_unknown_atom_is_an_error_wherever_it_sits(circuit4, observe_current):
+    """Every operand is evaluated: an operand that settles the value does
+    not hide an unknown or free atom next to it."""
+    free_model = FaultModel(
+        hypotheses=circuit4.hypotheses,
+        observables=circuit4.observables + (ObservableVar("F", free=True),),
+        rules=circuit4.rules,
+    )
+    theory = clark_completion(free_model)
+    table = posterior_table(free_model, observe_current)
+    row = interpretation_at(free_model, 0)
+    for name, error in (("Z", UnknownAtomError), ("F", FreeObservableError)):
+        for formula in (Or((TRUE, Atom(name))), And((FALSE, Atom(name)))):
+            with pytest.raises(error):
+                evaluate_formula(theory, formula, row)
+            with pytest.raises(error):
+                marginal(table, formula)
+            with pytest.raises(error):
+                scenario_explains(theory, Scenario.of_faults("A"), formula)
+
+
+def test_scenario_queries_cap_every_hypothesis(circuit4):
+    """The size cap counts all hypotheses, the ones a scenario fixes too."""
+    theory = clark_completion(circuit4)
+    scenario = Scenario.of_faults("A", "B")
+    with pytest.raises(SearchSpaceError, match="4 hypotheses exceed the cap of 3"):
+        scenario_consistent(theory, scenario, limit=3)
+    with pytest.raises(SearchSpaceError, match="4 hypotheses exceed the cap of 3"):
+        scenario_explains(theory, scenario, Atom("E"), limit=3)
+    assert scenario_explains(theory, scenario, Atom("E"), limit=4)
 
 
 def test_scenario_consistent_cases(circuit4):

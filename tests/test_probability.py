@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diagnoscope.errors import UnknownAtomError, ZeroProbabilityObservationError
-from diagnoscope.formulas import TRUE, And, Atom, Not, conjunction
+from diagnoscope.formulas import FALSE, TRUE, And, Atom, Not, conjunction
 from diagnoscope.model import (
     CausalRule,
     FaultModel,
@@ -106,6 +106,9 @@ def test_marginals_match_worked_example(circuit4, observe_current):
         0.368, abs=1e-3
     )
     assert marginal(table, TRUE) == pytest.approx(1.0, abs=1e-12)
+    # no row satisfies FALSE: the empty sum is still a float
+    unsatisfiable = marginal(table, FALSE)
+    assert unsatisfiable == 0.0 and isinstance(unsatisfiable, float)
 
 
 def test_most_likely_interpretation_is_row_nine(circuit4, observe_current):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diagnoscope import strategies
 from diagnoscope.errors import ZeroProbabilityObservationError
 from diagnoscope.formulas import And, Atom, Not, conjunction
 from diagnoscope.model import (
@@ -328,3 +329,23 @@ def test_compare_strategies_failure_records_on_degenerate_input(
         treatments = (TreatmentAction("t", "A"),)
     report = compare_strategies(model, ObservationSet.of(*observed), utility, treatments)
     assert report.failures == expected
+
+
+def test_a_failing_table_is_built_once(monkeypatch):
+    """A table build that raises is not repeated for each ranker: the
+    error is remembered, and every strategy records the same failure."""
+    model = FaultModel(
+        hypotheses=(Hypothesis("A", 0.0), Hypothesis("B", 0.0)),
+        observables=(ObservableVar("E"),),
+        rules=(CausalRule(("A",), "E"), CausalRule(("B",), "E")),
+    )
+    builds = []
+
+    def counting_table(*args, **kwargs):
+        builds.append(args)
+        return posterior_table(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "posterior_table", counting_table)
+    report = compare_strategies(model, ObservationSet.of("E"))
+    assert report.failures == tuple((s.value, ZERO) for s in Strategy)
+    assert len(builds) == 1
