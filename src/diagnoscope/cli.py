@@ -23,12 +23,7 @@ from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
 from .model import FaultModel, Interpretation, ObservationSet
-from .probability import (
-    DEFAULT_TIE_EPSILON,
-    PosteriorTable,
-    covering_mass_set,
-    posterior_table,
-)
+from .probability import DEFAULT_TIE_EPSILON, PosteriorTable, Query, covering_mass_set
 from .strategies import _RANKERS, RankedDiagnoses, Strategy, StrategyReport, _compare
 
 
@@ -149,13 +144,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     observations = _observations(args, bundle)
     if args.command == "treat":
         return _cmd_treat(args, bundle, observations)
-    # The other commands share the query's one posterior table, built before
+    # The other commands answer one query, whose table is built before
     # anything else so that its errors take precedence.
-    table = posterior_table(bundle.model, observations)
+    query = Query(bundle.model, observations)
+    table = query.table
     if args.command == "interpretations":
         return _cmd_interpretations(args, table)
     if args.command == "diagnose":
-        return _cmd_diagnose(args, bundle, table)
+        return _cmd_diagnose(args, bundle, query)
     if args.command == "cover":
         return _cmd_cover(args, table)
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -345,15 +341,10 @@ def _render_report(
     return "\n".join(lines)
 
 
-def _cmd_diagnose(
-    args: argparse.Namespace, bundle: ParsedBundle, table: PosteriorTable
-) -> int:
-    model, observations = table.model, table.observations
-    evidence = table.evidence_probability
+def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
+    model, evidence = query.model, query.table.evidence_probability
     if args.strategy == "all":
-        report = _compare(
-            model, observations, lambda: table, bundle.utility, bundle.treatments
-        )
+        report = _compare(query, bundle.utility, bundle.treatments)
         if args.fmt == "json":
             payload = {
                 "strategies": [
@@ -373,7 +364,7 @@ def _cmd_diagnose(
             return _print(json.dumps(payload, indent=2))
         return _print(_render_report(model, report, evidence))
     rank = _RANKERS[Strategy(args.strategy)]
-    ranking = rank(model, observations, lambda: table, DEFAULT_TIE_EPSILON)
+    ranking = rank(query, DEFAULT_TIE_EPSILON)
     if args.fmt == "json":
         payload = _ranking_payload(model, ranking)
         payload["evidence_probability"] = evidence

@@ -4,11 +4,11 @@ Utility is state-based: the value of a treatment set depends on which
 hypotheses are actually faulty, not on any diagnosis object
 (``state_utility``). Expected utility is linear in the row weights, so it
 is computed from the posterior masses of each treatment's target and of
-each joint term's ``when`` pattern, read from the table once per query;
-the optimizer then scores all 2^l treatment subsets exhaustively, each in
-O(treatments + joint terms). For purely additive utilities each
-treatment also has a closed-form probability threshold above which
-treating beats skipping.
+each joint term's ``when`` pattern, read once from the table of the
+question's ``probability.Query``; the optimizer then scores all 2^l
+treatment subsets exhaustively, each in O(treatments + joint terms). For
+purely additive utilities each treatment also has a closed-form
+probability threshold above which treating beats skipping.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .model import (
     UtilityModel,
     ZERO_ENTRY,
 )
-from .probability import PosteriorTable, TableSource, _literal_mass, posterior_table
+from .probability import PosteriorTable, Query, _literal_mass, posterior_table
 
 DEFAULT_TREATMENT_LIMIT = 20
 
@@ -143,23 +143,21 @@ def optimal_treatment(
 
     Ties go to the smallest set, then lexicographically smallest ids.
     """
-    return _optimal_treatment(
-        lambda: posterior_table(model, observations), utility, treatments, limit
-    )
+    return _optimal_treatment(Query(model, observations), utility, treatments, limit)
 
 
 def _optimal_treatment(
-    table: TableSource,
+    query: Query,
     utility: UtilityModel,
     treatments: tuple[TreatmentAction, ...],
     limit: int = DEFAULT_TREATMENT_LIMIT,
 ) -> TreatmentDecision:
-    """optimal_treatment over a shared table, fetched after the cap check."""
+    """optimal_treatment over a shared query; its table is read after the cap check."""
     if len(treatments) > limit:
         raise SearchSpaceError(
             f"treatment space too large: {len(treatments)} treatments exceed the cap of {limit}"
         )
-    parts = _utility_parts(table(), utility, treatments)
+    parts = _utility_parts(query.table, utility, treatments)
     ids = sorted(treatment.id for treatment in treatments)
     best_set: frozenset[str] = frozenset()
     best_utility = float("-inf")

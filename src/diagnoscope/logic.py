@@ -262,18 +262,29 @@ def abductive_explanations(
 ) -> list[Diagnosis]:
     """Minimal fault sets that are consistent and entail the observations in
     every fact-satisfying extension; same ordering as consistency_diagnoses."""
+    _check_abducible(model, observations)
+    facts = _possible_rows(theory, (), limit)
+    good = facts & _rows(theory, _literals(observations.literals))
+    return _explanations(model, facts, good)
+
+
+def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:
+    """Abduction's checks, before the size check: known, positive literals."""
     check_observations(model, observations)
     for name, polarity in observations.literals:
         if not polarity:
             raise NegativeObservationError(
                 f"abduction requires positive observations (got '!{name}')"
             )
-    facts = _possible_rows(theory, (), limit)
-    bad = facts & ~_rows(theory, _literals(observations.literals))
+
+
+def _explanations(model: FaultModel, facts: int, good: int) -> list[Diagnosis]:
+    """The minimal explaining fault sets, from the row masks of the facts
+    and of the facts and observations."""
     count = len(model.hypotheses)
     # S explains when some fact row makes all of S faulty, and no fact row
     # that contradicts the observations does.
-    family = _closure(facts, count, up=True) & ~_closure(bad, count, up=True)
+    family = _closure(facts, count, up=True) & ~_closure(facts & ~good, count, up=True)
     return _minimal_fault_sets(model, family)
 
 

@@ -1,19 +1,22 @@
 """Exact posterior computation over interpretations by enumeration.
 
-The posterior table conditions the product prior on the observations and
-hard constraints: each interpretation's weight is its joint prior if its
-row is in the row mask of the facts and observations (``logic``), else an
-exact 0.0, normalized by the evidence probability. Every downstream
-probability (marginals of arbitrary formulas, most likely
-interpretations, covering-mass sets) is a sum over table rows in index
-order; a marginal sums the rows of its formula's mask.
+One ``Query`` per question (a model and its observations) completes the
+model, compiles the row masks of its facts and observations (``logic``)
+and builds the posterior table, each once, on first use. The table
+conditions the product prior on the observations and hard constraints:
+each interpretation's weight is its joint prior if its row is in the
+facts-and-observations mask, else an exact 0.0, normalized by the
+evidence probability. Every downstream probability (marginals, most
+likely interpretations, covering-mass sets) is a sum over table rows in
+index order; a marginal sums the rows of its formula's mask.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Iterable
 
 from .errors import UnknownAtomError, ZeroProbabilityObservationError
 from .formulas import Formula
@@ -50,11 +53,6 @@ class PosteriorTable:
     evidence_probability: float
 
 
-# Returns a query's posterior table. Taken instead of a table by consumers
-# whose own checks must run (and fail) before the table is touched.
-TableSource = Callable[[], PosteriorTable]
-
-
 def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:
     """Product of per-hypothesis priors (faulty) or complements (normal)."""
     prob = 1.0
@@ -63,17 +61,53 @@ def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:
     return prob
 
 
-def posterior_table(
-    model: FaultModel, observations: ObservationSet, limit: int | None = None
-) -> PosteriorTable:
-    """Condition the product prior on the observations and hard constraints."""
-    check_observations(model, observations)
-    theory = clark_completion(model)
-    good = _possible_rows(theory, observations.literals, limit)
-    possible = _selectors(good, 1 << len(model.hypotheses))
+@dataclass(frozen=True)
+class Query:
+    """One diagnostic question, a model and its observations. Each part is
+    computed on first use and then shared by every answer to the question;
+    a failed check raises again on each use, a failed table build is kept."""
+
+    model: FaultModel
+    observations: ObservationSet
+    limit: int | None = None
+
+    @cached_property
+    def theory(self) -> CompletedTheory:
+        return clark_completion(self.model)
+
+    @cached_property
+    def facts(self) -> int:
+        """The row mask of the facts, after the size check."""
+        return _possible_rows(self.theory, (), self.limit)
+
+    @cached_property
+    def good(self) -> int:
+        """The rows that satisfy the facts and every observation literal."""
+        check_observations(self.model, self.observations)
+        return self.facts & _rows(self.theory, _literals(self.observations.literals))
+
+    @cached_property
+    def _table(self) -> PosteriorTable | ZeroProbabilityObservationError:
+        try:
+            return _build_table(self)
+        except ZeroProbabilityObservationError as exc:
+            return exc
+
+    @property
+    def table(self) -> PosteriorTable:
+        """The posterior table of the question."""
+        table = self._table
+        if isinstance(table, ZeroProbabilityObservationError):
+            raise table
+        return table
+
+
+def _build_table(query: Query) -> PosteriorTable:
+    model = query.model
+    possible = _selectors(query.good, 1 << len(model.hypotheses))
     weighted = [
         (index, interpretation, joint_prior(model, interpretation) if possible[index] else 0.0)
-        for index, interpretation in enumerate_interpretations(model, limit=limit)
+        for index, interpretation in enumerate_interpretations(model, limit=query.limit)
     ]
     evidence = sum(weight for _, _, weight in weighted)
     if evidence == 0.0:
@@ -82,7 +116,14 @@ def posterior_table(
         TableEntry(index, interpretation, weight / evidence)
         for index, interpretation, weight in weighted
     )
-    return PosteriorTable(model, theory, observations, entries, evidence)
+    return PosteriorTable(model, query.theory, query.observations, entries, evidence)
+
+
+def posterior_table(
+    model: FaultModel, observations: ObservationSet, limit: int | None = None
+) -> PosteriorTable:
+    """Condition the product prior on the observations and hard constraints."""
+    return Query(model, observations, limit).table
 
 
 def marginal(table: PosteriorTable, formula: Formula) -> float:

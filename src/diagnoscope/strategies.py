@@ -14,9 +14,10 @@ different reading of the question:
 
 They can disagree on the same input; compare_strategies runs all of them
 and flags every pair whose leaders differ once projected to fault sets.
-All five rankings and the treatment search are sums over one posterior
-table: the comparison builds it once and shares it, and each public
-``diagnose_*`` function is a thin adapter over the ranker registry.
+Every ranker and the treatment search answer one ``probability.Query``:
+the comparison shares its completion, row masks and posterior table, and
+each public ``diagnose_*`` function is a thin adapter over the ranker
+registry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
 from .errors import DiagnoscopeError
-from .logic import abductive_explanations, clark_completion, consistency_diagnoses
+from .logic import _check_abducible, _explanations, _minimal_fault_sets
 from .model import (
     Diagnosis,
     FaultModel,
@@ -38,12 +39,10 @@ from .model import (
 )
 from .probability import (
     DEFAULT_TIE_EPSILON,
-    PosteriorTable,
+    Query,
     TableEntry,
-    TableSource,
     _literal_mass,
     most_likely_interpretations,
-    posterior_table,
 )
 
 
@@ -102,10 +101,8 @@ def _ties(candidates: list[Candidate], tie_epsilon: float) -> tuple[Candidate, .
     return tuple(c for c in candidates if c.score >= top - tie_epsilon)
 
 
-def _rank_single_fault(
-    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
-) -> RankedDiagnoses:
-    entries = table().entries
+def _rank_single_fault(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+    model, entries = query.model, query.table.entries
     candidates: list[Candidate] = []
     for hypothesis in model.hypotheses:
         entry = entries[index_of_assignment(model, {hypothesis.id})]
@@ -117,14 +114,10 @@ def _rank_single_fault(
     )
 
 
-def _rank_posterior(
-    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
-) -> RankedDiagnoses:
-    posterior = table()
+def _rank_posterior(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+    model, table = query.model, query.table
     candidates = [
-        Candidate(
-            frozenset({hypothesis.id}), _literal_mass(posterior, ((hypothesis.id, True),))
-        )
+        Candidate(frozenset({hypothesis.id}), _literal_mass(table, ((hypothesis.id, True),)))
         for hypothesis in model.hypotheses
     ]
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
@@ -142,12 +135,10 @@ def _mpe_candidate(entry: TableEntry) -> Candidate:
     )
 
 
-def _rank_mpe(
-    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
-) -> RankedDiagnoses:
-    posterior = table()
-    ranked = sorted(posterior.entries, key=lambda e: (-e.posterior, e.index))
-    tied = most_likely_interpretations(posterior, tie_epsilon)
+def _rank_mpe(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+    table = query.table
+    ranked = sorted(table.entries, key=lambda e: (-e.posterior, e.index))
+    tied = most_likely_interpretations(table, tie_epsilon)
     return RankedDiagnoses(
         Strategy.MPE,
         tuple(_mpe_candidate(entry) for entry in ranked),
@@ -156,12 +147,9 @@ def _rank_mpe(
 
 
 def _scored_fault_sets(
-    model: FaultModel,
-    table: PosteriorTable,
-    diagnoses: list[Diagnosis],
-    tie_epsilon: float,
-    strategy: Strategy,
+    query: Query, diagnoses: list[Diagnosis], tie_epsilon: float, strategy: Strategy
 ) -> RankedDiagnoses:
+    model, table = query.model, query.table
     candidates = [
         Candidate(
             diagnosis.faulty, _literal_mass(table, ((name, True) for name in diagnosis.faulty))
@@ -174,20 +162,15 @@ def _scored_fault_sets(
     return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates, tie_epsilon))
 
 
-# The consistency and abductive rankers run their search before fetching
-# the table, so a search error takes precedence over a table error.
-def _rank_consistency(
-    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
-) -> RankedDiagnoses:
-    diagnoses = consistency_diagnoses(clark_completion(model), model, observations)
-    return _scored_fault_sets(model, table(), diagnoses, tie_epsilon, Strategy.CONSISTENCY)
+def _rank_consistency(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+    diagnoses = _minimal_fault_sets(query.model, query.good)
+    return _scored_fault_sets(query, diagnoses, tie_epsilon, Strategy.CONSISTENCY)
 
 
-def _rank_abductive(
-    model: FaultModel, observations: ObservationSet, table: TableSource, tie_epsilon: float
-) -> RankedDiagnoses:
-    diagnoses = abductive_explanations(clark_completion(model), model, observations)
-    return _scored_fault_sets(model, table(), diagnoses, tie_epsilon, Strategy.ABDUCTIVE)
+def _rank_abductive(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+    _check_abducible(query.model, query.observations)
+    diagnoses = _explanations(query.model, query.facts, query.good)
+    return _scored_fault_sets(query, diagnoses, tie_epsilon, Strategy.ABDUCTIVE)
 
 
 # The one strategy registry, in report order.
@@ -200,24 +183,6 @@ _RANKERS = {
 }
 
 
-def _shared_table(model: FaultModel, observations: ObservationSet) -> TableSource:
-    """Build the posterior table on first use; later uses get the same
-    table, or the same error if the build failed."""
-    built: list[PosteriorTable | DiagnoscopeError] = []
-
-    def table() -> PosteriorTable:
-        if not built:
-            try:
-                built.append(posterior_table(model, observations))
-            except DiagnoscopeError as exc:
-                built.append(exc)
-        if isinstance(built[0], DiagnoscopeError):
-            raise built[0]
-        return built[0]
-
-    return table
-
-
 def diagnose_single_fault(
     model: FaultModel,
     observations: ObservationSet,
@@ -225,8 +190,7 @@ def diagnose_single_fault(
 ) -> RankedDiagnoses:
     """Hypotheses whose exactly-one-fault interpretation is still possible,
     scored by that full interpretation's posterior. May be empty."""
-    table = _shared_table(model, observations)
-    return _rank_single_fault(model, observations, table, tie_epsilon)
+    return _rank_single_fault(Query(model, observations), tie_epsilon)
 
 
 def diagnose_posterior(
@@ -235,8 +199,7 @@ def diagnose_posterior(
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> RankedDiagnoses:
     """Every hypothesis scored by its posterior marginal."""
-    table = _shared_table(model, observations)
-    return _rank_posterior(model, observations, table, tie_epsilon)
+    return _rank_posterior(Query(model, observations), tie_epsilon)
 
 
 def diagnose_mpe(
@@ -245,8 +208,7 @@ def diagnose_mpe(
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> RankedDiagnoses:
     """All interpretations ranked by posterior; leaders per the tie rule."""
-    table = _shared_table(model, observations)
-    return _rank_mpe(model, observations, table, tie_epsilon)
+    return _rank_mpe(Query(model, observations), tie_epsilon)
 
 
 def diagnose_consistency(
@@ -257,8 +219,7 @@ def diagnose_consistency(
     """Minimal consistent fault sets scored by the marginal of their
     positive conjunction (normal literals are not part of the scored
     formula)."""
-    table = _shared_table(model, observations)
-    return _rank_consistency(model, observations, table, tie_epsilon)
+    return _rank_consistency(Query(model, observations), tie_epsilon)
 
 
 def diagnose_abductive(
@@ -267,8 +228,7 @@ def diagnose_abductive(
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> RankedDiagnoses:
     """Minimal explaining fault sets, scored as in diagnose_consistency."""
-    table = _shared_table(model, observations)
-    return _rank_abductive(model, observations, table, tie_epsilon)
+    return _rank_abductive(Query(model, observations), tie_epsilon)
 
 
 TREATMENT_LABEL = "treatment"
@@ -288,25 +248,22 @@ def compare_strategies(
     projects to the targets of the chosen treatments. Per-strategy errors
     become failure records, not exceptions.
     """
-    table = _shared_table(model, observations)
-    return _compare(model, observations, table, utility, treatments, tie_epsilon)
+    return _compare(Query(model, observations), utility, treatments, tie_epsilon)
 
 
 def _compare(
-    model: FaultModel,
-    observations: ObservationSet,
-    table: TableSource,
+    query: Query,
     utility: UtilityModel | None,
     treatments: tuple[TreatmentAction, ...],
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> StrategyReport:
-    """compare_strategies over one table source shared by every ranker."""
+    """compare_strategies over one query shared by every ranker."""
     rankings: list[tuple[Strategy, RankedDiagnoses]] = []
     leaders: list[tuple[str, frozenset[str]]] = []
     failures: list[tuple[str, str]] = []
     for strategy, rank in _RANKERS.items():
         try:
-            ranking = rank(model, observations, table, tie_epsilon)
+            ranking = rank(query, tie_epsilon)
         except DiagnoscopeError as exc:
             failures.append((strategy.value, str(exc)))
             continue
@@ -316,7 +273,7 @@ def _compare(
     treatment = None
     if utility is not None:
         try:
-            treatment = _optimal_treatment(table, utility, treatments)
+            treatment = _optimal_treatment(query, utility, treatments)
             targets = {t.target for t in treatments if t.id in treatment.chosen}
             leaders.append((TREATMENT_LABEL, frozenset(targets)))
         except DiagnoscopeError as exc:

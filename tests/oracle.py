@@ -252,3 +252,87 @@ def scenario_entails(
         return None
     rules = rules_of(model)
     return all(eval_formula(goal, assignment, rules) for assignment in extensions)
+
+
+def fault_sets_by_index(model: FaultModel) -> list[frozenset[str]]:
+    """The faulty hypotheses of every row, in index order."""
+    ids = tuple(h.id for h in model.hypotheses)
+    return [
+        frozenset(name for name, value in assignment_for_index(ids, index).items() if value)
+        for index in range(1 << len(ids))
+    ]
+
+
+def fault_set_mass(
+    model: FaultModel, rows: list[float], fault_set: frozenset[str]
+) -> float:
+    """Posterior mass of the rows that make every member of ``fault_set``
+    faulty, summed in index order."""
+    return sum(
+        row
+        for row, faulty in zip(rows, fault_sets_by_index(model))
+        if fault_set <= faulty
+    )
+
+
+def strategy_rankings(
+    model: FaultModel,
+    rows: list[float],
+    consistent: list[frozenset[str]],
+    explaining: list[frozenset[str]],
+    tie_epsilon: float,
+) -> dict[str, tuple[list[tuple], list[tuple]]]:
+    """Every strategy's (candidates, ties) from the posterior rows and the
+    minimal fault sets; a candidate is (fault set, score, row index or
+    None). A search that finds no set leaves its strategy out."""
+    order = {h.id: k for k, h in enumerate(model.hypotheses)}
+    faults = fault_sets_by_index(model)
+
+    def declared(fault_set):
+        return sorted(order[name] for name in fault_set)
+
+    def ties(candidates):
+        if not candidates:
+            return []
+        top = candidates[0][1]
+        return [c for c in candidates if c[1] >= top - tie_epsilon]
+
+    single = [
+        (faulty, row, None) for faulty, row in zip(faults, rows) if len(faulty) == 1 and row > 0.0
+    ]
+    single.sort(key=lambda c: (-c[1], declared(c[0])))
+    posterior = [
+        (frozenset({h.id}), fault_set_mass(model, rows, frozenset({h.id})), None)
+        for h in model.hypotheses
+    ]
+    posterior.sort(key=lambda c: (-c[1], declared(c[0])))
+    mpe = [(faulty, row, index) for index, (faulty, row) in enumerate(zip(faults, rows))]
+    best = max(rows)
+    out = {
+        "single-fault": (single, ties(single)),
+        "posterior": (posterior, ties(posterior)),
+        "mpe": (
+            sorted(mpe, key=lambda c: (-c[1], c[2])),
+            [c for c in mpe if c[1] >= best - tie_epsilon],
+        ),
+    }
+    for strategy, sets in (("consistency", consistent), ("abductive", explaining)):
+        if not sets:
+            continue
+        scored = [(s, fault_set_mass(model, rows, s), None) for s in sets]
+        scored.sort(key=lambda c: (-c[1], len(c[0]), declared(c[0])))
+        out[strategy] = (scored, ties(scored))
+    return out
+
+
+def covering_prefix(rows: list[float], mass: float, epsilon: float = 1e-9) -> list[int]:
+    """Row indices by descending posterior (ties by index) up to the first
+    whose running sum reaches ``mass``."""
+    prefix: list[int] = []
+    cumulative = 0.0
+    for index in sorted(range(len(rows)), key=lambda i: (-rows[i], i)):
+        prefix.append(index)
+        cumulative += rows[index]
+        if cumulative >= mass - epsilon:
+            break
+    return prefix

@@ -296,16 +296,15 @@ def test_too_deep_formula_is_a_located_parse_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def _count_table_builds(monkeypatch) -> list[int]:
-    """Count posterior_table calls through every module that binds the name."""
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count calls of ``module.name`` through every module that binds it."""
     import importlib
     import pkgutil
 
     import diagnoscope
-    from diagnoscope import probability
 
     calls = [0]
-    original = probability.posterior_table
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
@@ -316,9 +315,9 @@ def _count_table_builds(monkeypatch) -> list[int]:
         for info in pkgutil.iter_modules(diagnoscope.__path__)
         if info.name != "__main__"
     ]
-    for module in modules:
-        if getattr(module, "posterior_table", None) is original:
-            monkeypatch.setattr(module, "posterior_table", counting)
+    for bound in modules:
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counting)
     return calls
 
 
@@ -334,15 +333,33 @@ def _count_table_builds(monkeypatch) -> list[int]:
     ],
 )
 def test_one_table_build_per_query(capsys, monkeypatch, tmp_path, argv):
+    from diagnoscope import probability
+
     # diagnose has no --utility flag, so the treatment comparison of
     # --strategy all needs the utility lines in the model file itself.
     path = tmp_path / "circuit4_fix.fdl"
     path.write_text(Path(CIRCUIT4).read_text() + Path(UNIT_GAIN).read_text())
     model = CIRCUIT4 if argv[0] == "treat" else str(path)
-    calls = _count_table_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, probability, "_build_table")
     code, out, _ = run(capsys, argv[0], model, "--observe", "E", *argv[1:])
     assert code == 0
     if argv[-1] == "all":
         assert out.splitlines()[-1] == "agreement: no"
         assert any(line.startswith("treatment: ") for line in out.splitlines())
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("strategy", ["all", "abductive"])
+def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strategy):
+    """The table, the searches and the treatment search of one query share
+    one Clark completion and one facts mask."""
+    from diagnoscope import logic
+
+    path = tmp_path / "circuit4_fix.fdl"
+    path.write_text(Path(CIRCUIT4).read_text() + Path(UNIT_GAIN).read_text())
+    completions = _count_calls(monkeypatch, logic, "clark_completion")
+    fact_masks = _count_calls(monkeypatch, logic, "_possible_rows")
+    code, _, _ = run(capsys, "diagnose", str(path), "--observe", "E", "--strategy", strategy)
+    assert code == 0
+    assert completions[0] == 1
+    assert fact_masks[0] == 1

@@ -1,5 +1,7 @@
 """The engine against the brute force of ``tests/oracle.py`` on random
-models: facts, negative observations, priors of 0 and 1, and ties."""
+models: facts, negative observations, priors of 0 and 1, and ties. The
+oracle checks the table, the searches, the scenario queries, the five
+strategy rankings as ``compare_strategies`` reports them, and ``cover``."""
 
 from __future__ import annotations
 
@@ -25,9 +27,11 @@ from diagnoscope.logic import (
     scenario_explains,
 )
 from diagnoscope.model import Hypothesis, ObservationSet
-from diagnoscope.probability import marginal, posterior_table
+from diagnoscope.probability import covering_mass_set, marginal, posterior_table
+from diagnoscope.strategies import Strategy, compare_strategies
 
 from .oracle import (
+    covering_prefix,
     explaining_fault_sets,
     fact_assignments,
     formula_marginal,
@@ -39,7 +43,12 @@ from .oracle import (
     satisfying_fault_sets,
     scenario_entails,
     scenario_is_consistent,
+    strategy_rankings,
 )
+
+ZERO = "observation has zero probability"
+UNEXPLAINABLE = "observation unexplainable"
+TABLE_STRATEGIES = ("single-fault", "posterior", "mpe")
 
 
 @st.composite
@@ -66,7 +75,8 @@ def _problems(draw):
     goal = random_formula(rng, ids + ruled, depth=3)
     literal = st.tuples(st.sampled_from(ids), st.booleans())
     scenario = Scenario(tuple(draw(st.lists(literal, max_size=3))))
-    return model, observations, goal, scenario
+    mass = draw(st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0, exclude_min=True))
+    return model, observations, goal, scenario, mass
 
 
 def _ordered(model, sets):
@@ -78,7 +88,7 @@ def _ordered(model, sets):
 @settings(derandomize=True, deadline=None)
 @given(_problems())
 def test_engine_matches_the_oracle(problem):
-    model, observations, goal, scenario = problem
+    model, observations, goal, scenario, mass = problem
     literals = observations.literals
     theory = clark_completion(model)
 
@@ -87,6 +97,7 @@ def test_engine_matches_the_oracle(problem):
     try:
         rows, evidence = posterior_rows(model, literals)
     except ZeroDivisionError:
+        rows = None
         with pytest.raises(ZeroProbabilityObservationError):
             posterior_table(model, observations)
     else:
@@ -94,6 +105,8 @@ def test_engine_matches_the_oracle(problem):
         assert [entry.posterior for entry in table.entries] == rows
         assert table.evidence_probability == evidence
         assert marginal(table, goal) == formula_marginal(model, literals, goal)
+        prefix = covering_mass_set(table, mass)
+        assert [entry.index for entry in prefix] == covering_prefix(rows, mass)
 
     consistent = _ordered(model, minimal_sets(satisfying_fault_sets(model, literals)))
     if consistent:
@@ -103,6 +116,7 @@ def test_engine_matches_the_oracle(problem):
         with pytest.raises(UnexplainableObservationError):
             consistency_diagnoses(theory, model, observations)
 
+    explaining = []
     if not observations.all_positive:
         with pytest.raises(NegativeObservationError):
             abductive_explanations(theory, model, observations)
@@ -114,6 +128,8 @@ def test_engine_matches_the_oracle(problem):
         else:
             with pytest.raises(UnexplainableObservationError):
                 abductive_explanations(theory, model, observations)
+
+    _check_rankings(model, observations, rows, consistent, explaining)
 
     asserted = scenario.asserted
     assert scenario_consistent(theory, scenario, observations) == scenario_is_consistent(
@@ -127,3 +143,33 @@ def test_engine_matches_the_oracle(problem):
         assert scenario_explains(theory, scenario, goal) == entailed
     expected = [Scenario(tuple(a.items())) for a in fact_assignments(model)]
     assert maximal_scenarios(theory, model) == expected
+
+
+def _check_rankings(model, observations, rows, consistent, explaining):
+    """compare_strategies against the oracle: every ranking's candidates,
+    scores (exactly), order and ties, and every failure record in report
+    order. A search error takes precedence over the table error."""
+    negative = next((name for name, polarity in observations.literals if not polarity), None)
+    table_error = ZERO if rows is None else None
+    failed = dict.fromkeys(TABLE_STRATEGIES, table_error)
+    failed["consistency"] = table_error if consistent else UNEXPLAINABLE
+    if negative is not None:
+        failed["abductive"] = f"abduction requires positive observations (got '!{negative}')"
+    else:
+        failed["abductive"] = table_error if explaining else UNEXPLAINABLE
+    failed = {strategy: message for strategy, message in failed.items() if message}
+
+    report = compare_strategies(model, observations)
+    assert report.failures == tuple(
+        (s.value, failed[s.value]) for s in Strategy if s.value in failed
+    )
+    expected = {}
+    if rows is not None:
+        expected = strategy_rankings(model, rows, consistent, explaining, 1e-9)
+    assert [s.value for s, _ in report.rankings] == [
+        s.value for s in Strategy if s.value not in failed
+    ]
+    for strategy, ranking in report.rankings:
+        candidates, ties = expected[strategy.value]
+        assert [(c.fault_set, c.score, c.index) for c in ranking.candidates] == candidates
+        assert [(c.fault_set, c.score, c.index) for c in ranking.ties] == ties

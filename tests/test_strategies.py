@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diagnoscope import strategies
+from diagnoscope import probability
 from diagnoscope.errors import ZeroProbabilityObservationError
 from diagnoscope.formulas import And, Atom, Not, conjunction
 from diagnoscope.model import (
@@ -340,12 +340,39 @@ def test_a_failing_table_is_built_once(monkeypatch):
         rules=(CausalRule(("A",), "E"), CausalRule(("B",), "E")),
     )
     builds = []
+    build_table = probability._build_table
 
-    def counting_table(*args, **kwargs):
-        builds.append(args)
-        return posterior_table(*args, **kwargs)
+    def counting_build(query):
+        builds.append(query)
+        return build_table(query)
 
-    monkeypatch.setattr(strategies, "posterior_table", counting_table)
+    monkeypatch.setattr(probability, "_build_table", counting_build)
     report = compare_strategies(model, ObservationSet.of("E"))
     assert report.failures == tuple((s.value, ZERO) for s in Strategy)
     assert len(builds) == 1
+
+
+CAPPED = "hypothesis space too large: 21 hypotheses exceed the cap of 20"
+UNKNOWN = "unknown observable: observation of 'Z' is not declared"
+
+
+@pytest.mark.parametrize(
+    "observed, expected",
+    [
+        # Abduction refuses a negative literal before the size check.
+        (("E", "!N"),
+         tuple((s, CAPPED) for s in TABLE_STRATEGIES + ("consistency",))
+         + (("abductive", "abduction requires positive observations (got '!N')"),)),
+        # Every strategy checks the observables first.
+        (("!N", "Z"), tuple((s.value, UNKNOWN) for s in Strategy)),
+    ],
+)
+def test_error_order_through_compare_strategies(observed, expected):
+    model = FaultModel(
+        hypotheses=tuple(Hypothesis(f"H{k}", 0.1) for k in range(21)),
+        observables=(ObservableVar("E"), ObservableVar("N")),
+        rules=(CausalRule(("H0",), "E"), CausalRule(("H1",), "N")),
+    )
+    report = compare_strategies(model, ObservationSet.of(*observed))
+    assert report.failures == expected
+    assert report.rankings == ()
