@@ -23,7 +23,7 @@ from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
 from .model import FaultModel, Interpretation, ObservationSet
-from .probability import DEFAULT_TIE_EPSILON, PosteriorTable, Query, covering_mass_set
+from .probability import PosteriorTable, Query, covering_mass_set
 from .strategies import _RANKERS, RankedDiagnoses, Strategy, StrategyReport, _compare
 
 
@@ -364,7 +364,7 @@ def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) 
             return _print(json.dumps(payload, indent=2))
         return _print(_render_report(model, report, evidence))
     rank = _RANKERS[Strategy(args.strategy)]
-    ranking = rank(query, DEFAULT_TIE_EPSILON)
+    ranking = rank(query)
     if args.fmt == "json":
         payload = _ranking_payload(model, ranking)
         payload["evidence_probability"] = evidence

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NoFiniteThresholdError, SearchSpaceError
+from .errors import DiagnoscopeError, NoFiniteThresholdError, SearchSpaceError
 from .model import (
     AdditiveEntry,
     FaultModel,
@@ -30,7 +30,7 @@ from .model import (
 )
 from .probability import PosteriorTable, Query, _literal_mass, posterior_table
 
-DEFAULT_TREATMENT_LIMIT = 20
+TREATMENT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,15 @@ def _utility_parts(
     return parts
 
 
+def _total(terms: list[float]) -> float:
+    """The correctly rounded sum of a set's utility terms; a sum beyond the
+    float range is a domain error."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DiagnoscopeError("expected utility overflows the float range") from None
+
+
 def expected_utility_over_table(
     table: PosteriorTable,
     utility: UtilityModel,
@@ -117,7 +126,7 @@ def expected_utility_over_table(
     selected: frozenset[str],
 ) -> float:
     """Expectation of state_utility under an already-built posterior table."""
-    return math.fsum(_utility_parts(table, utility, treatments)(selected))
+    return _total(_utility_parts(table, utility, treatments)(selected))
 
 
 def expected_utility(
@@ -137,25 +146,22 @@ def optimal_treatment(
     observations: ObservationSet,
     utility: UtilityModel,
     treatments: tuple[TreatmentAction, ...],
-    limit: int = DEFAULT_TREATMENT_LIMIT,
 ) -> TreatmentDecision:
     """Exhaustively maximize expected utility over all treatment subsets.
 
     Ties go to the smallest set, then lexicographically smallest ids.
     """
-    return _optimal_treatment(Query(model, observations), utility, treatments, limit)
+    return _optimal_treatment(Query(model, observations), utility, treatments)
 
 
 def _optimal_treatment(
-    query: Query,
-    utility: UtilityModel,
-    treatments: tuple[TreatmentAction, ...],
-    limit: int = DEFAULT_TREATMENT_LIMIT,
+    query: Query, utility: UtilityModel, treatments: tuple[TreatmentAction, ...]
 ) -> TreatmentDecision:
     """optimal_treatment over a shared query; its table is read after the cap check."""
-    if len(treatments) > limit:
+    if len(treatments) > TREATMENT_CAP:
         raise SearchSpaceError(
-            f"treatment space too large: {len(treatments)} treatments exceed the cap of {limit}"
+            f"treatment space too large: {len(treatments)} treatments"
+            f" exceed the cap of {TREATMENT_CAP}"
         )
     parts = _utility_parts(query.table, utility, treatments)
     ids = sorted(treatment.id for treatment in treatments)
@@ -164,7 +170,7 @@ def _optimal_treatment(
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             selected = frozenset(combo)
-            value = math.fsum(parts(selected))
+            value = _total(parts(selected))
             if value > best_utility:
                 best_utility = value
                 best_set = selected

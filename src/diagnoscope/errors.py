@@ -37,7 +37,7 @@ class ZeroProbabilityObservationError(DiagnoscopeError):
 
 
 class SearchSpaceError(DiagnoscopeError):
-    """An exhaustive enumeration would exceed its configured size cap."""
+    """An exhaustive enumeration would exceed its size cap."""
 
 
 class NoFiniteThresholdError(DiagnoscopeError):

@@ -8,8 +8,8 @@ order) in one representation: a formula's row mask has bit i set where it
 holds on row i (``_rows``). Facts, observations, scenarios and marginal
 formulas are masks; a fault set S is its exact-fault row, so a family of
 fault sets is a mask too, whose minimal sets come from m shift-ORs. The
-one size check in ``model`` (20 hypotheses by default) runs before any
-mask is built.
+one size check in ``model`` (a cap of 20 hypotheses) runs before any mask
+is built.
 
 Two diagnosis notions are provided:
 
@@ -133,13 +133,11 @@ def _literals(literals: Iterable[tuple[str, bool]]) -> Formula:
     )
 
 
-def _possible_rows(
-    theory: CompletedTheory, literals: tuple[tuple[str, bool], ...], limit: int | None
-) -> int:
+def _possible_rows(theory: CompletedTheory, literals: tuple[tuple[str, bool], ...]) -> int:
     """The rows that satisfy the facts and every literal. Every query over
     the rows starts here, so the size check runs before any mask is built."""
     model = theory.model
-    _check_hypothesis_cap(len(model.hypotheses), limit)
+    _check_hypothesis_cap(len(model.hypotheses))
     return _rows(theory, conjunction(model.extra_facts + (_literals(literals),)))
 
 
@@ -175,35 +173,28 @@ def scenario_consistent(
     theory: CompletedTheory,
     scenario: Scenario,
     observations: ObservationSet = ObservationSet(),
-    limit: int | None = None,
 ) -> bool:
     """True iff some extension satisfies the facts and all observations."""
     check_observations(theory.model, observations)
     _check_scenario(theory.model, scenario)
     literals = observations.literals + scenario.asserted
-    return _possible_rows(theory, literals, limit) != 0
+    return _possible_rows(theory, literals) != 0
 
 
-def scenario_explains(
-    theory: CompletedTheory,
-    scenario: Scenario,
-    goal: Formula,
-    limit: int | None = None,
-) -> bool:
+def scenario_explains(theory: CompletedTheory, scenario: Scenario, goal: Formula) -> bool:
     """True iff every fact-satisfying extension of the scenario satisfies ``goal``."""
     _check_scenario(theory.model, scenario)
-    extensions = _possible_rows(theory, scenario.asserted, limit)
+    extensions = _possible_rows(theory, scenario.asserted)
     if not extensions:
         raise InconsistentScenarioError("inconsistent scenario")
     return extensions & ~_rows(theory, goal) == 0
 
 
-def maximal_scenarios(
-    theory: CompletedTheory, model: FaultModel, limit: int | None = None
-) -> list[Scenario]:
+def maximal_scenarios(theory: CompletedTheory) -> list[Scenario]:
     """All set-inclusion-maximal consistent scenarios, i.e. the total
     assignments satisfying the hard constraints, in index order."""
-    facts = _possible_rows(theory, (), limit)
+    model = theory.model
+    facts = _possible_rows(theory, ())
     size = 1 << len(model.hypotheses)
     rows = itertools.compress(itertools.count(), _selectors(facts, size))
     return [Scenario(interpretation_at(model, row).literals()) for row in rows]
@@ -242,30 +233,24 @@ def _minimal_fault_sets(model: FaultModel, family: int) -> list[Diagnosis]:
 
 
 def consistency_diagnoses(
-    theory: CompletedTheory,
-    model: FaultModel,
-    observations: ObservationSet,
-    limit: int | None = None,
+    theory: CompletedTheory, observations: ObservationSet
 ) -> list[Diagnosis]:
     """Minimal fault sets whose exact-fault interpretation satisfies the
     facts and observations; ordered by cardinality then declaration order."""
-    check_observations(model, observations)
-    good = _possible_rows(theory, observations.literals, limit)
-    return _minimal_fault_sets(model, good)
+    check_observations(theory.model, observations)
+    good = _possible_rows(theory, observations.literals)
+    return _minimal_fault_sets(theory.model, good)
 
 
 def abductive_explanations(
-    theory: CompletedTheory,
-    model: FaultModel,
-    observations: ObservationSet,
-    limit: int | None = None,
+    theory: CompletedTheory, observations: ObservationSet
 ) -> list[Diagnosis]:
     """Minimal fault sets that are consistent and entail the observations in
     every fact-satisfying extension; same ordering as consistency_diagnoses."""
-    _check_abducible(model, observations)
-    facts = _possible_rows(theory, (), limit)
+    _check_abducible(theory.model, observations)
+    facts = _possible_rows(theory, ())
     good = facts & _rows(theory, _literals(observations.literals))
-    return _explanations(model, facts, good)
+    return _explanations(theory.model, facts, good)
 
 
 def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:

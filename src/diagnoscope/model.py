@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 from .errors import SearchSpaceError, UnknownAtomError
 from .formulas import Formula, atom_names
 
-DEFAULT_HYPOTHESIS_LIMIT = 20
+HYPOTHESIS_CAP = 20
 
 RESERVED_WORDS = frozenset({"true", "false"})
 
@@ -120,10 +120,6 @@ class ObservationSet:
         return cls(tuple(pairs))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.literals
-
-    @property
     def all_positive(self) -> bool:
         return all(polarity for _, polarity in self.literals)
 
@@ -158,10 +154,9 @@ class Interpretation:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """A set of hypotheses asserted faulty, optionally with a probability."""
+    """A set of hypotheses asserted faulty."""
 
     faulty: frozenset[str]
-    probability: float | None = None
 
 
 @dataclass(frozen=True)
@@ -345,13 +340,12 @@ def _adder(findings: list[ValidationFinding]) -> Callable[[str, str], None]:
     return lambda code, message: findings.append(ValidationFinding(code, message))
 
 
-def _check_hypothesis_cap(count: int, limit: int | None) -> None:
-    """Refuse any search over more than ``limit`` hypotheses (default
-    DEFAULT_HYPOTHESIS_LIMIT); the one size check of the hypothesis space."""
-    cap = DEFAULT_HYPOTHESIS_LIMIT if limit is None else limit
-    if count > cap:
+def _check_hypothesis_cap(count: int) -> None:
+    """Refuse any search over more than HYPOTHESIS_CAP hypotheses; the one
+    size check of the hypothesis space."""
+    if count > HYPOTHESIS_CAP:
         raise SearchSpaceError(
-            f"hypothesis space too large: {count} hypotheses exceed the cap of {cap}"
+            f"hypothesis space too large: {count} hypotheses exceed the cap of {HYPOTHESIS_CAP}"
         )
 
 
@@ -378,14 +372,11 @@ def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) 
     return index
 
 
-def enumerate_interpretations(
-    model: FaultModel, limit: int | None = None
-) -> Iterator[tuple[int, Interpretation]]:
+def enumerate_interpretations(model: FaultModel) -> Iterator[tuple[int, Interpretation]]:
     """Yield (index, interpretation) for all 2^m assignments, in index order.
 
-    Refuses to enumerate more than 2^limit interpretations (default cap
-    DEFAULT_HYPOTHESIS_LIMIT).
+    Refuses to enumerate more than 2^HYPOTHESIS_CAP interpretations.
     """
     ids = model.hypothesis_ids
-    _check_hypothesis_cap(len(ids), limit)
+    _check_hypothesis_cap(len(ids))
     return ((index, _decode(ids, index)) for index in range(1 << len(ids)))

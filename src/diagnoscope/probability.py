@@ -31,7 +31,7 @@ from .logic import (
 )
 from .model import FaultModel, Interpretation, ObservationSet, enumerate_interpretations
 
-DEFAULT_TIE_EPSILON = 1e-9
+TIE_EPSILON = 1e-9
 MASS_EPSILON = 1e-9
 
 
@@ -69,7 +69,6 @@ class Query:
 
     model: FaultModel
     observations: ObservationSet
-    limit: int | None = None
 
     @cached_property
     def theory(self) -> CompletedTheory:
@@ -78,7 +77,7 @@ class Query:
     @cached_property
     def facts(self) -> int:
         """The row mask of the facts, after the size check."""
-        return _possible_rows(self.theory, (), self.limit)
+        return _possible_rows(self.theory, ())
 
     @cached_property
     def good(self) -> int:
@@ -107,7 +106,7 @@ def _build_table(query: Query) -> PosteriorTable:
     possible = _selectors(query.good, 1 << len(model.hypotheses))
     weighted = [
         (index, interpretation, joint_prior(model, interpretation) if possible[index] else 0.0)
-        for index, interpretation in enumerate_interpretations(model, limit=query.limit)
+        for index, interpretation in enumerate_interpretations(model)
     ]
     evidence = sum(weight for _, _, weight in weighted)
     if evidence == 0.0:
@@ -119,11 +118,9 @@ def _build_table(query: Query) -> PosteriorTable:
     return PosteriorTable(model, query.theory, query.observations, entries, evidence)
 
 
-def posterior_table(
-    model: FaultModel, observations: ObservationSet, limit: int | None = None
-) -> PosteriorTable:
+def posterior_table(model: FaultModel, observations: ObservationSet) -> PosteriorTable:
     """Condition the product prior on the observations and hard constraints."""
-    return Query(model, observations, limit).table
+    return Query(model, observations).table
 
 
 def marginal(table: PosteriorTable, formula: Formula) -> float:
@@ -145,12 +142,10 @@ def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -
     return marginal(table, _literals(literals))
 
 
-def most_likely_interpretations(
-    table: PosteriorTable, tie_epsilon: float = DEFAULT_TIE_EPSILON
-) -> list[TableEntry]:
-    """All rows within ``tie_epsilon`` of the maximum posterior, index order."""
+def most_likely_interpretations(table: PosteriorTable) -> list[TableEntry]:
+    """All rows within TIE_EPSILON of the maximum posterior, index order."""
     best = max(entry.posterior for entry in table.entries)
-    return [entry for entry in table.entries if entry.posterior >= best - tie_epsilon]
+    return [entry for entry in table.entries if entry.posterior >= best - TIE_EPSILON]
 
 
 def covering_mass_set(table: PosteriorTable, mass: float) -> list[TableEntry]:

@@ -38,7 +38,7 @@ from .model import (
     index_of_assignment,
 )
 from .probability import (
-    DEFAULT_TIE_EPSILON,
+    TIE_EPSILON,
     Query,
     TableEntry,
     _literal_mass,
@@ -94,14 +94,14 @@ def _decl_key(model: FaultModel, fault_set: frozenset[str]) -> tuple[int, ...]:
     return tuple(sorted(order[name] for name in fault_set))
 
 
-def _ties(candidates: list[Candidate], tie_epsilon: float) -> tuple[Candidate, ...]:
+def _ties(candidates: list[Candidate]) -> tuple[Candidate, ...]:
     if not candidates:
         return ()
     top = candidates[0].score
-    return tuple(c for c in candidates if c.score >= top - tie_epsilon)
+    return tuple(c for c in candidates if c.score >= top - TIE_EPSILON)
 
 
-def _rank_single_fault(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+def _rank_single_fault(query: Query) -> RankedDiagnoses:
     model, entries = query.model, query.table.entries
     candidates: list[Candidate] = []
     for hypothesis in model.hypotheses:
@@ -109,21 +109,17 @@ def _rank_single_fault(query: Query, tie_epsilon: float) -> RankedDiagnoses:
         if entry.posterior > 0.0:
             candidates.append(Candidate(frozenset({hypothesis.id}), entry.posterior))
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
-    return RankedDiagnoses(
-        Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates, tie_epsilon)
-    )
+    return RankedDiagnoses(Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates))
 
 
-def _rank_posterior(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+def _rank_posterior(query: Query) -> RankedDiagnoses:
     model, table = query.model, query.table
     candidates = [
         Candidate(frozenset({hypothesis.id}), _literal_mass(table, ((hypothesis.id, True),)))
         for hypothesis in model.hypotheses
     ]
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
-    return RankedDiagnoses(
-        Strategy.POSTERIOR, tuple(candidates), _ties(candidates, tie_epsilon)
-    )
+    return RankedDiagnoses(Strategy.POSTERIOR, tuple(candidates), _ties(candidates))
 
 
 def _mpe_candidate(entry: TableEntry) -> Candidate:
@@ -135,10 +131,10 @@ def _mpe_candidate(entry: TableEntry) -> Candidate:
     )
 
 
-def _rank_mpe(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+def _rank_mpe(query: Query) -> RankedDiagnoses:
     table = query.table
     ranked = sorted(table.entries, key=lambda e: (-e.posterior, e.index))
-    tied = most_likely_interpretations(table, tie_epsilon)
+    tied = most_likely_interpretations(table)
     return RankedDiagnoses(
         Strategy.MPE,
         tuple(_mpe_candidate(entry) for entry in ranked),
@@ -147,7 +143,7 @@ def _rank_mpe(query: Query, tie_epsilon: float) -> RankedDiagnoses:
 
 
 def _scored_fault_sets(
-    query: Query, diagnoses: list[Diagnosis], tie_epsilon: float, strategy: Strategy
+    query: Query, diagnoses: list[Diagnosis], strategy: Strategy
 ) -> RankedDiagnoses:
     model, table = query.model, query.table
     candidates = [
@@ -159,18 +155,18 @@ def _scored_fault_sets(
     candidates.sort(
         key=lambda c: (-c.score, len(c.fault_set), _decl_key(model, c.fault_set))
     )
-    return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates, tie_epsilon))
+    return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates))
 
 
-def _rank_consistency(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+def _rank_consistency(query: Query) -> RankedDiagnoses:
     diagnoses = _minimal_fault_sets(query.model, query.good)
-    return _scored_fault_sets(query, diagnoses, tie_epsilon, Strategy.CONSISTENCY)
+    return _scored_fault_sets(query, diagnoses, Strategy.CONSISTENCY)
 
 
-def _rank_abductive(query: Query, tie_epsilon: float) -> RankedDiagnoses:
+def _rank_abductive(query: Query) -> RankedDiagnoses:
     _check_abducible(query.model, query.observations)
     diagnoses = _explanations(query.model, query.facts, query.good)
-    return _scored_fault_sets(query, diagnoses, tie_epsilon, Strategy.ABDUCTIVE)
+    return _scored_fault_sets(query, diagnoses, Strategy.ABDUCTIVE)
 
 
 # The one strategy registry, in report order.
@@ -183,52 +179,32 @@ _RANKERS = {
 }
 
 
-def diagnose_single_fault(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
+def diagnose_single_fault(model: FaultModel, observations: ObservationSet) -> RankedDiagnoses:
     """Hypotheses whose exactly-one-fault interpretation is still possible,
     scored by that full interpretation's posterior. May be empty."""
-    return _rank_single_fault(Query(model, observations), tie_epsilon)
+    return _rank_single_fault(Query(model, observations))
 
 
-def diagnose_posterior(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
+def diagnose_posterior(model: FaultModel, observations: ObservationSet) -> RankedDiagnoses:
     """Every hypothesis scored by its posterior marginal."""
-    return _rank_posterior(Query(model, observations), tie_epsilon)
+    return _rank_posterior(Query(model, observations))
 
 
-def diagnose_mpe(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
+def diagnose_mpe(model: FaultModel, observations: ObservationSet) -> RankedDiagnoses:
     """All interpretations ranked by posterior; leaders per the tie rule."""
-    return _rank_mpe(Query(model, observations), tie_epsilon)
+    return _rank_mpe(Query(model, observations))
 
 
-def diagnose_consistency(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
+def diagnose_consistency(model: FaultModel, observations: ObservationSet) -> RankedDiagnoses:
     """Minimal consistent fault sets scored by the marginal of their
     positive conjunction (normal literals are not part of the scored
     formula)."""
-    return _rank_consistency(Query(model, observations), tie_epsilon)
+    return _rank_consistency(Query(model, observations))
 
 
-def diagnose_abductive(
-    model: FaultModel,
-    observations: ObservationSet,
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
-) -> RankedDiagnoses:
+def diagnose_abductive(model: FaultModel, observations: ObservationSet) -> RankedDiagnoses:
     """Minimal explaining fault sets, scored as in diagnose_consistency."""
-    return _rank_abductive(Query(model, observations), tie_epsilon)
+    return _rank_abductive(Query(model, observations))
 
 
 TREATMENT_LABEL = "treatment"
@@ -239,7 +215,6 @@ def compare_strategies(
     observations: ObservationSet,
     utility: UtilityModel | None = None,
     treatments: tuple[TreatmentAction, ...] = (),
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> StrategyReport:
     """Run every applicable strategy and flag leader disagreements.
 
@@ -248,14 +223,13 @@ def compare_strategies(
     projects to the targets of the chosen treatments. Per-strategy errors
     become failure records, not exceptions.
     """
-    return _compare(Query(model, observations), utility, treatments, tie_epsilon)
+    return _compare(Query(model, observations), utility, treatments)
 
 
 def _compare(
     query: Query,
     utility: UtilityModel | None,
     treatments: tuple[TreatmentAction, ...],
-    tie_epsilon: float = DEFAULT_TIE_EPSILON,
 ) -> StrategyReport:
     """compare_strategies over one query shared by every ranker."""
     rankings: list[tuple[Strategy, RankedDiagnoses]] = []
@@ -263,7 +237,7 @@ def _compare(
     failures: list[tuple[str, str]] = []
     for strategy, rank in _RANKERS.items():
         try:
-            ranking = rank(query, tie_epsilon)
+            ranking = rank(query)
         except DiagnoscopeError as exc:
             failures.append((strategy.value, str(exc)))
             continue

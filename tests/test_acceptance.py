@@ -214,7 +214,7 @@ def test_criterion_7b_subset_minimality():
             observations = ObservationSet.of(rng.choice(ruled))
             for op in (consistency_diagnoses, abductive_explanations):
                 try:
-                    result = op(theory, model, observations)
+                    result = op(theory, observations)
                 except UnexplainableObservationError:
                     continue
                 sets = [d.faulty for d in result]
@@ -239,13 +239,13 @@ def test_criterion_7c_consistency_equals_abduction():
             size = rng.randint(1, len(ruled))
             observations = ObservationSet.of(*rng.sample(ruled, size))
             try:
-                consistent = consistency_diagnoses(theory, model, observations)
+                consistent = consistency_diagnoses(theory, observations)
             except UnexplainableObservationError:
                 with pytest.raises(UnexplainableObservationError):
-                    abductive_explanations(theory, model, observations)
+                    abductive_explanations(theory, observations)
                 checked += 1
                 continue
-            abduced = abductive_explanations(theory, model, observations)
+            abduced = abductive_explanations(theory, observations)
             assert [d.faulty for d in consistent] == [d.faulty for d in abduced]
             checked += 1
 
@@ -321,7 +321,7 @@ def test_criterion_7f_consistency_brute_force_equivalence():
             observations = ObservationSet(((name, rng.random() < 0.8),))
             expected = minimal_sets(satisfying_fault_sets(model, observations.literals))
             try:
-                result = consistency_diagnoses(theory, model, observations)
+                result = consistency_diagnoses(theory, observations)
             except UnexplainableObservationError:
                 assert expected == set()
                 checked += 1

@@ -234,6 +234,26 @@ def test_domain_errors_exit_one(capsys):
     assert "contradictory" in err
 
 
+def test_utility_overflow_is_a_domain_error(capsys, tmp_path):
+    """A model that check accepts, whose expected utility totals overflow a
+    float: treat ends in an error line, the comparison in a failure record."""
+    huge = int(1.7e308)  # written out as a plain decimal
+    path = tmp_path / "huge.fdl"
+    path.write_text(
+        "hypothesis A prior 0.999\nhypothesis B prior 0.999\nobservable E\n"
+        "rule A => E\nrule B => E\nobserve E\n"
+        "treatment FixA targets A\ntreatment FixB targets B\n"
+        f"utility FixA treat-faulty {huge} treat-ok 0 skip-faulty 0 skip-ok 0\n"
+        f"utility FixB treat-faulty {huge} treat-ok 0 skip-faulty 0 skip-ok 0\n"
+    )
+    assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+    message = "expected utility overflows the float range"
+    assert run(capsys, "treat", str(path)) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
+    assert (code, err) == (0, "")
+    assert f"errors:\n  treatment: {message}\n" in out
+
+
 def test_findings_block_other_commands(capsys, tmp_path):
     path = tmp_path / "freeobs.fdl"
     path.write_text(

@@ -110,24 +110,24 @@ def test_engine_matches_the_oracle(problem):
 
     consistent = _ordered(model, minimal_sets(satisfying_fault_sets(model, literals)))
     if consistent:
-        result = consistency_diagnoses(theory, model, observations)
+        result = consistency_diagnoses(theory, observations)
         assert [d.faulty for d in result] == consistent
     else:
         with pytest.raises(UnexplainableObservationError):
-            consistency_diagnoses(theory, model, observations)
+            consistency_diagnoses(theory, observations)
 
     explaining = []
     if not observations.all_positive:
         with pytest.raises(NegativeObservationError):
-            abductive_explanations(theory, model, observations)
+            abductive_explanations(theory, observations)
     else:
         explaining = _ordered(model, minimal_sets(explaining_fault_sets(model, literals)))
         if explaining:
-            result = abductive_explanations(theory, model, observations)
+            result = abductive_explanations(theory, observations)
             assert [d.faulty for d in result] == explaining
         else:
             with pytest.raises(UnexplainableObservationError):
-                abductive_explanations(theory, model, observations)
+                abductive_explanations(theory, observations)
 
     _check_rankings(model, observations, rows, consistent, explaining)
 
@@ -142,7 +142,7 @@ def test_engine_matches_the_oracle(problem):
     else:
         assert scenario_explains(theory, scenario, goal) == entailed
     expected = [Scenario(tuple(a.items())) for a in fact_assignments(model)]
-    assert maximal_scenarios(theory, model) == expected
+    assert maximal_scenarios(theory) == expected
 
 
 def _check_rankings(model, observations, rows, consistent, explaining):
