@@ -14,6 +14,7 @@ and index 2^m - 1 the all-normal one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
@@ -349,21 +350,20 @@ def _check_hypothesis_cap(count: int) -> None:
         )
 
 
-def _decode(ids: tuple[str, ...], index: int) -> Interpretation:
-    count = len(ids)
-    values = tuple(not (index >> (count - 1 - k)) & 1 for k in range(count))
-    return Interpretation(ids, values)
-
-
 def interpretation_at(model: FaultModel, index: int) -> Interpretation:
     """The interpretation at ``index`` under the bit convention above."""
-    if not 0 <= index < (1 << len(model.hypotheses)):
+    count = len(model.hypotheses)
+    if not 0 <= index < (1 << count):
         raise ValueError(f"interpretation index {index} out of range")
-    return _decode(model.hypothesis_ids, index)
+    values = tuple(not (index >> (count - 1 - k)) & 1 for k in range(count))
+    return Interpretation(model.hypothesis_ids, values)
 
 
 def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) -> int:
     """Index of the interpretation making exactly ``true_ids`` true."""
+    unknown = set(true_ids).difference(model.hypothesis_index)
+    if unknown:
+        raise UnknownAtomError(f"unknown atom '{min(unknown)}'")
     count = len(model.hypotheses)
     index = 0
     for k, name in enumerate(model.hypothesis_ids):
@@ -373,10 +373,11 @@ def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) 
 
 
 def enumerate_interpretations(model: FaultModel) -> Iterator[tuple[int, Interpretation]]:
-    """Yield (index, interpretation) for all 2^m assignments, in index order.
-
-    Refuses to enumerate more than 2^HYPOTHESIS_CAP interpretations.
+    """Yield (index, interpretation) for all 2^m assignments, in index order,
+    which is the order of ``itertools.product`` over (faulty, normal), so no
+    index is decoded. Refuses to enumerate more than 2^HYPOTHESIS_CAP rows.
     """
     ids = model.hypothesis_ids
     _check_hypothesis_cap(len(ids))
-    return ((index, _decode(ids, index)) for index in range(1 << len(ids)))
+    rows = itertools.product((True, False), repeat=len(ids))
+    return ((index, Interpretation(ids, values)) for index, values in enumerate(rows))

@@ -2,13 +2,13 @@
 
 One ``Query`` per question (a model and its observations) completes the
 model, compiles the row masks of its facts and observations (``logic``)
-and builds the posterior table, each once, on first use. The table
-conditions the product prior on the observations and hard constraints:
-each interpretation's weight is its joint prior if its row is in the
-facts-and-observations mask, else an exact 0.0, normalized by the
-evidence probability. Every downstream probability (marginals, most
-likely interpretations, covering-mass sets) is a sum over table rows in
-index order; a marginal sums the rows of its formula's mask.
+and builds the posterior table, each once, on first use. The table is
+one posterior per row, in index order: the row's prior, a prefix product
+over the priors in declaration order, or an exact 0.0 outside the facts-
+and-observations mask, normalized by the evidence probability. Marginals,
+most likely interpretations and covering-mass sets read the posteriors
+through row masks and indices; ``entries`` builds a ``TableEntry`` per row
+on first use, the rankers build only the rows they return.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .logic import (
     check_observations,
     clark_completion,
 )
-from .model import FaultModel, Interpretation, ObservationSet, enumerate_interpretations
+from .model import FaultModel, Interpretation, ObservationSet
+from .model import enumerate_interpretations, interpretation_at
 
 TIE_EPSILON = 1e-9
 MASS_EPSILON = 1e-9
@@ -46,11 +47,20 @@ class TableEntry:
 class PosteriorTable:
     """Normalized distribution over interpretations given the observations."""
 
-    model: FaultModel
     theory: CompletedTheory
-    observations: ObservationSet
-    entries: tuple[TableEntry, ...]
+    posteriors: tuple[float, ...]
     evidence_probability: float
+
+    @cached_property
+    def entries(self) -> tuple[TableEntry, ...]:
+        """Every row as a ``TableEntry``, in index order; built on first use."""
+        rows = zip(enumerate_interpretations(self.theory.model), self.posteriors)
+        return tuple(TableEntry(index, row, posterior) for (index, row), posterior in rows)
+
+
+def _entry(table: PosteriorTable, index: int) -> TableEntry:
+    model = table.theory.model
+    return TableEntry(index, interpretation_at(model, index), table.posteriors[index])
 
 
 def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:
@@ -102,20 +112,17 @@ class Query:
 
 
 def _build_table(query: Query) -> PosteriorTable:
-    model = query.model
-    possible = _selectors(query.good, 1 << len(model.hypotheses))
-    weighted = [
-        (index, interpretation, joint_prior(model, interpretation) if possible[index] else 0.0)
-        for index, interpretation in enumerate_interpretations(model)
-    ]
-    evidence = sum(weight for _, _, weight in weighted)
+    possible = _selectors(query.good, 1 << len(query.model.hypotheses))
+    weights = [1.0]
+    for hypothesis in query.model.hypotheses:
+        p = hypothesis.prior
+        weights = [x * f for x in weights for f in (p, 1.0 - p)]
+    weights = [weight if keep else 0.0 for weight, keep in zip(weights, possible)]
+    evidence = sum(weights)
     if evidence == 0.0:
         raise ZeroProbabilityObservationError("observation has zero probability")
-    entries = tuple(
-        TableEntry(index, interpretation, weight / evidence)
-        for index, interpretation, weight in weighted
-    )
-    return PosteriorTable(model, query.theory, query.observations, entries, evidence)
+    posteriors = tuple(weight / evidence for weight in weights)
+    return PosteriorTable(query.theory, posteriors, evidence)
 
 
 def posterior_table(model: FaultModel, observations: ObservationSet) -> PosteriorTable:
@@ -127,9 +134,8 @@ def marginal(table: PosteriorTable, formula: Formula) -> float:
     """Posterior probability of an arbitrary formula: the sum over the rows
     satisfying it (observables expanded through their definitions), in
     index order."""
-    selected = _selectors(_rows(table.theory, formula), len(table.entries))
-    posteriors = (entry.posterior for entry in table.entries)
-    return sum(itertools.compress(posteriors, selected), 0.0)
+    selected = _selectors(_rows(table.theory, formula), len(table.posteriors))
+    return sum(itertools.compress(table.posteriors, selected), 0.0)
 
 
 def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -> float:
@@ -137,15 +143,15 @@ def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -
     is not a hypothesis, observables included, is an unknown atom."""
     literals = tuple(literals)
     for name, _polarity in literals:
-        if not table.model.is_hypothesis(name):
+        if not table.theory.model.is_hypothesis(name):
             raise UnknownAtomError(f"unknown atom '{name}'")
     return marginal(table, _literals(literals))
 
 
 def most_likely_interpretations(table: PosteriorTable) -> list[TableEntry]:
     """All rows within TIE_EPSILON of the maximum posterior, index order."""
-    best = max(entry.posterior for entry in table.entries)
-    return [entry for entry in table.entries if entry.posterior >= best - TIE_EPSILON]
+    floor = max(table.posteriors) - TIE_EPSILON
+    return [_entry(table, i) for i, posterior in enumerate(table.posteriors) if posterior >= floor]
 
 
 def covering_mass_set(table: PosteriorTable, mass: float) -> list[TableEntry]:
@@ -153,12 +159,12 @@ def covering_mass_set(table: PosteriorTable, mass: float) -> list[TableEntry]:
     index) whose cumulative posterior reaches ``mass``."""
     if not 0.0 < mass <= 1.0:
         raise ValueError(f"mass must lie in (0, 1], got {mass!r}")
-    ranked = sorted(table.entries, key=lambda entry: (-entry.posterior, entry.index))
+    ranked = sorted(enumerate(table.posteriors), key=lambda row: -row[1])
     prefix: list[TableEntry] = []
     cumulative = 0.0
-    for entry in ranked:
-        prefix.append(entry)
-        cumulative += entry.posterior
+    for index, posterior in ranked:
+        prefix.append(_entry(table, index))
+        cumulative += posterior
         if cumulative >= mass - MASS_EPSILON:
             break
     return prefix

@@ -102,12 +102,12 @@ def _ties(candidates: list[Candidate]) -> tuple[Candidate, ...]:
 
 
 def _rank_single_fault(query: Query) -> RankedDiagnoses:
-    model, entries = query.model, query.table.entries
+    model, posteriors = query.model, query.table.posteriors
     candidates: list[Candidate] = []
     for hypothesis in model.hypotheses:
-        entry = entries[index_of_assignment(model, {hypothesis.id})]
-        if entry.posterior > 0.0:
-            candidates.append(Candidate(frozenset({hypothesis.id}), entry.posterior))
+        posterior = posteriors[index_of_assignment(model, {hypothesis.id})]
+        if posterior > 0.0:
+            candidates.append(Candidate(frozenset({hypothesis.id}), posterior))
     candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
     return RankedDiagnoses(Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates))
 

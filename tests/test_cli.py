@@ -383,3 +383,32 @@ def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strate
     assert code == 0
     assert completions[0] == 1
     assert fact_masks[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("diagnose", "--strategy", "posterior"), 0),
+        (("diagnose", "--strategy", "single-fault"), 0),
+        (("treat", "--utility", UNIT_GAIN), 0),
+        (("cover", "--mass", "0.5"), 2),
+    ],
+)
+def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, argv, built):
+    """The table is its posteriors: a query decodes a row into an
+    Interpretation only when it prints that row (cover prints two)."""
+    from diagnoscope.model import Interpretation
+
+    constructed = [0]
+    original = Interpretation.__post_init__
+
+    def counting(self):
+        constructed[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Interpretation, "__post_init__", counting)
+    code, out, _ = run(capsys, argv[0], CIRCUIT4, "--observe", "E", *argv[1:])
+    assert code == 0
+    if argv[0] == "cover":
+        assert len(out.splitlines()) == 3 + built
+    assert constructed[0] == built

@@ -271,11 +271,10 @@ def test_interacting_utility_depends_only_on_needed_probabilities(
     # direction that cancels in the B and C marginals
     delta = 0.0005
     shifts = {1: +delta, 3: -delta, 5: -delta, 7: +delta}
-    entries = tuple(
-        dataclasses.replace(entry, posterior=entry.posterior + shifts.get(entry.index, 0.0))
-        for entry in table.entries
+    posteriors = tuple(
+        posterior + shifts.get(index, 0.0) for index, posterior in enumerate(table.posteriors)
     )
-    perturbed = dataclasses.replace(table, entries=entries)
+    perturbed = dataclasses.replace(table, posteriors=posteriors)
 
     from diagnoscope.formulas import And, Not
 

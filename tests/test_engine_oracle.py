@@ -58,8 +58,9 @@ def _problems(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     base = random_model(rng, max_hypotheses=8, max_observables=3, max_rules=6)
     ids = list(base.hypothesis_ids)
-    # a few shared values make tied posteriors likely
-    prior = st.sampled_from([0.1, 0.25, 0.5]) | st.floats(0.01, 0.99)
+    # a few shared values make tied posteriors likely; the tiny ones make
+    # products underflow or go subnormal
+    prior = st.sampled_from([0.1, 0.25, 0.5, 1e-300, 5e-324]) | st.floats(0.01, 0.99)
     priors = {name: draw(prior) for name in ids}
     for name in draw(st.lists(st.sampled_from(ids), unique=True, max_size=2)):
         priors[name] = draw(st.sampled_from([0.0, 1.0]))
@@ -92,8 +93,9 @@ def test_engine_matches_the_oracle(problem):
     literals = observations.literals
     theory = clark_completion(model)
 
-    # The table: the oracle multiplies in declaration order, as joint_prior
-    # does, and sums in index order, so rows and evidence are equal exactly.
+    # The table: the oracle multiplies in declaration order, as the table's
+    # prefix products do, and sums in index order, so rows and evidence are
+    # equal exactly, also where the products underflow.
     try:
         rows, evidence = posterior_rows(model, literals)
     except ZeroDivisionError:
@@ -102,6 +104,7 @@ def test_engine_matches_the_oracle(problem):
             posterior_table(model, observations)
     else:
         table = posterior_table(model, observations)
+        assert list(table.posteriors) == rows
         assert [entry.posterior for entry in table.entries] == rows
         assert table.evidence_probability == evidence
         assert marginal(table, goal) == formula_marginal(model, literals, goal)

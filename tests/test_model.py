@@ -188,6 +188,14 @@ def test_interpretation_index_convention(circuit4):
     assert index_of_assignment(circuit4, set()) == 15
 
 
+def test_index_of_assignment_rejects_unknown_names(circuit4):
+    """A name that is not a hypothesis is an error, not an absent fault;
+    the smallest unknown name is reported."""
+    for names, unknown in [({"Z"}, "Z"), ({"A", "Z"}, "Z"), ({"Z", "Y", "B"}, "Y")]:
+        with pytest.raises(UnknownAtomError, match=f"^unknown atom '{unknown}'$"):
+            index_of_assignment(circuit4, names)
+
+
 def test_enumerate_round_trips_indices(circuit4):
     for index, interp in enumerate_interpretations(circuit4):
         assert interpretation_at(circuit4, index) == interp
