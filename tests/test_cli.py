@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -292,6 +293,31 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diagnose", CIRCUIT4, "--observe", "E", "--strategy", "all", "--format", "json"),
+        ("interpretations", CIRCUIT4),
+        ("cover", CIRCUIT4, "--mass", "2"),
+        ("check", "missing.fdl"),
+        ("diagnose", CIRCUIT4, "--no-such-flag"),
+    ],
+)
+def test_query_collects_its_own_cycles(capsys, argv):
+    """A query runs with the cyclic collector paused and leaves no cyclic
+    garbage behind; a collector the caller switched off stays off."""
+    gc.collect()
+    run(capsys, *argv)
+    assert gc.isenabled()
+    assert gc.collect() == 0
+    gc.disable()
+    try:
+        run(capsys, *argv)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_undecodable_file_is_a_file_error(capsys, tmp_path):
