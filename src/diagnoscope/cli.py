@@ -16,16 +16,25 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
-from .model import FaultModel, Interpretation, ObservationSet
+from .model import (
+    FaultModel,
+    Interpretation,
+    ObservationSet,
+    _each_row,
+    _row_values,
+    interpretation_at,
+)
 from .probability import PosteriorTable, Query, covering_mass_set
-from .strategies import _RANKERS, RankedDiagnoses, Strategy, StrategyReport, _compare
+from .strategies import _RANKERS, Candidate, RankedDiagnoses, Strategy, StrategyReport, _compare
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,6 +217,12 @@ def _interpretation_text(interpretation: Interpretation) -> str:
     )
 
 
+def _row_texts(model: FaultModel) -> list[str]:
+    """Every row's interpretation text (``A !B ...``), in index order."""
+    choices = [(name, f"!{name}") for name in model.hypothesis_ids]
+    return [" ".join(row) for row in _each_row(model, choices)]
+
+
 def _dollars(value: float) -> str:
     return f"-${abs(value):.4f}" if value < 0 else f"${value:.4f}"
 
@@ -234,32 +249,25 @@ def _print(text: str) -> int:
 
 
 def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int:
+    model = table.theory.model
     if args.fmt == "json":
+        ids = model.hypothesis_ids
+        rows = zip(_row_values(model), table.posteriors)
         payload = {
             "evidence_probability": table.evidence_probability,
             "entries": [
-                {
-                    "index": entry.index,
-                    "assignment": dict(entry.interpretation.literals()),
-                    "posterior": entry.posterior,
-                }
-                for entry in table.entries
+                {"index": index, "assignment": dict(zip(ids, values)), "posterior": posterior}
+                for index, (values, posterior) in enumerate(rows)
             ],
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": [round(entry.posterior, 4) for entry in table.entries],
+                "posteriors": [round(posterior, 4) for posterior in table.posteriors],
             },
         }
         return _print(json.dumps(payload, indent=2))
     rows = [["index", "interpretation", "posterior"]]
-    for entry in table.entries:
-        rows.append(
-            [
-                str(entry.index),
-                _interpretation_text(entry.interpretation),
-                f"{entry.posterior:.4f}",
-            ]
-        )
+    for index, (text, posterior) in enumerate(zip(_row_texts(model), table.posteriors)):
+        rows.append([str(index), text, f"{posterior:.4f}"])
     lines = [f"evidence probability: {table.evidence_probability:.6f}"]
     lines.extend(_table(rows, right_align={0, 2}))
     return _print("\n".join(lines))
@@ -269,10 +277,13 @@ def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int
 # diagnose
 
 
-def _candidate_text(model: FaultModel, ranking: RankedDiagnoses, candidate) -> str:
+def _candidate_text(model: FaultModel, ranking: RankedDiagnoses) -> Callable[[Candidate], str]:
+    """The text of a candidate of ``ranking``: an MPE row as
+    ``[index] A !B ...``, any other candidate as its fault set."""
     if ranking.strategy is Strategy.MPE:
-        return f"[{candidate.index}] {_interpretation_text(candidate.interpretation)}"
-    return _fault_set_text(model, candidate.fault_set)
+        texts = _row_texts(model)
+        return lambda candidate: f"[{candidate.index}] {texts[candidate.index]}"
+    return lambda candidate: _fault_set_text(model, candidate.fault_set)
 
 
 def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
@@ -308,15 +319,14 @@ def _render_ranking(
     if not ranking.candidates:
         lines.append("no candidates")
         return "\n".join(lines)
+    text = _candidate_text(model, ranking)
     rows = [["rank", "candidate", "score"]]
     for rank, candidate in enumerate(ranking.candidates, start=1):
-        rows.append(
-            [str(rank), _candidate_text(model, ranking, candidate), f"{candidate.score:.4f}"]
-        )
+        rows.append([str(rank), text(candidate), f"{candidate.score:.4f}"])
     lines.extend(_table(rows, right_align={0, 2}))
-    lines.append(f"leader: {_candidate_text(model, ranking, ranking.leader)}")
+    lines.append(f"leader: {text(ranking.leader)}")
     if len(ranking.ties) > 1:
-        tied = " ".join(_candidate_text(model, ranking, c) for c in ranking.ties)
+        tied = " ".join(text(c) for c in ranking.ties)
         lines.append(f"ties: {tied}")
     return "\n".join(lines)
 
@@ -440,26 +450,19 @@ def _cmd_treat(
 
 def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
     prefix = covering_mass_set(table, args.mass)
-    cumulative: list[float] = []
-    total = 0.0
-    for entry in prefix:
-        total += entry.posterior
-        cumulative.append(total)
+    posteriors = [table.posteriors[index] for index in prefix]
+    cumulative = list(itertools.accumulate(posteriors))
     if args.fmt == "json":
         payload = {
             "mass": args.mass,
             "evidence_probability": table.evidence_probability,
             "entries": [
-                {
-                    "index": entry.index,
-                    "posterior": entry.posterior,
-                    "cumulative": cum,
-                }
-                for entry, cum in zip(prefix, cumulative)
+                {"index": index, "posterior": posterior, "cumulative": cum}
+                for index, posterior, cum in zip(prefix, posteriors, cumulative)
             ],
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": [round(entry.posterior, 4) for entry in prefix],
+                "posteriors": [round(posterior, 4) for posterior in posteriors],
                 "cumulative": [round(cum, 4) for cum in cumulative],
             },
         }
@@ -468,16 +471,10 @@ def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
         f"evidence probability: {table.evidence_probability:.6f}",
         f"mass: {args.mass}",
     ]
+    model = table.theory.model
     rows = [["rank", "index", "interpretation", "posterior", "cumulative"]]
-    for rank, (entry, cum) in enumerate(zip(prefix, cumulative), start=1):
-        rows.append(
-            [
-                str(rank),
-                str(entry.index),
-                _interpretation_text(entry.interpretation),
-                f"{entry.posterior:.4f}",
-                f"{cum:.4f}",
-            ]
-        )
+    for rank, (index, posterior, cum) in enumerate(zip(prefix, posteriors, cumulative), start=1):
+        text = _interpretation_text(interpretation_at(model, index))
+        rows.append([str(rank), str(index), text, f"{posterior:.4f}", f"{cum:.4f}"])
     lines.extend(_table(rows, right_align={0, 1, 3, 4}))
     return _print("\n".join(lines))

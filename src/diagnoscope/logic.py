@@ -85,7 +85,9 @@ def _evaluate(
     true: Truth,
 ) -> Truth:
     """Evaluate ``formula`` with ``value(name)`` for each hypothesis atom,
-    expanding observables through their definitions."""
+    expanding observables through their definitions. A definition is
+    evaluated by a call of its own, so ``resolve`` holds no reference to
+    itself and is freed without the cyclic collector."""
     model = theory.model
 
     def resolve(name: str) -> Truth:
@@ -93,7 +95,7 @@ def _evaluate(
             return value(name)
         definition = theory.definitions.get(name)
         if definition is not None:
-            return evaluate(definition, resolve, true)
+            return _evaluate(theory, definition, value, true)
         if model.is_observable(name):
             raise FreeObservableError(f"free observable '{name}' has no definition")
         raise UnknownAtomError(f"unknown atom '{name}'")

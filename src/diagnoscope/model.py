@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceError, UnknownAtomError
 from .formulas import Formula, atom_names
@@ -373,11 +373,22 @@ def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) 
 
 
 def enumerate_interpretations(model: FaultModel) -> Iterator[tuple[int, Interpretation]]:
-    """Yield (index, interpretation) for all 2^m assignments, in index order,
-    which is the order of ``itertools.product`` over (faulty, normal), so no
-    index is decoded. Refuses to enumerate more than 2^HYPOTHESIS_CAP rows.
-    """
+    """Yield (index, interpretation) for all 2^m assignments, in index order;
+    refuses to enumerate more than 2^HYPOTHESIS_CAP rows."""
     ids = model.hypothesis_ids
-    _check_hypothesis_cap(len(ids))
-    rows = itertools.product((True, False), repeat=len(ids))
-    return ((index, Interpretation(ids, values)) for index, values in enumerate(rows))
+    rows = enumerate(_row_values(model))
+    return ((index, Interpretation(ids, values)) for index, values in rows)
+
+
+def _row_values(model: FaultModel) -> Iterator[tuple[bool, ...]]:
+    """Every row's hypothesis values (True where faulty), in index order."""
+    return _each_row(model, [(True, False)] * len(model.hypotheses))
+
+
+def _each_row(model: FaultModel, choices: Sequence[tuple]) -> Iterator[tuple]:
+    """Every row in index order as one item per hypothesis: the first of
+    its ``choices`` pair where it is faulty, the second where it is normal.
+    That is the order of ``itertools.product``, so no index is decoded.
+    Refuses to walk more than 2^HYPOTHESIS_CAP rows."""
+    _check_hypothesis_cap(len(model.hypotheses))
+    return itertools.product(*choices)

@@ -5,10 +5,10 @@ model, compiles the row masks of its facts and observations (``logic``)
 and builds the posterior table, each once, on first use. The table is
 one posterior per row, in index order: the row's prior, a prefix product
 over the priors in declaration order, or an exact 0.0 outside the facts-
-and-observations mask, normalized by the evidence probability. Marginals,
-most likely interpretations and covering-mass sets read the posteriors
-through row masks and indices; ``entries`` builds a ``TableEntry`` per row
-on first use, the rankers build only the rows they return.
+and-observations mask, normalized by the evidence probability. A row is
+its index into ``posteriors``: marginals read them through row masks, and
+the most likely interpretations and covering-mass sets are row indices.
+``model.interpretation_at`` decodes one row.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ from .logic import (
     clark_completion,
 )
 from .model import FaultModel, Interpretation, ObservationSet
-from .model import enumerate_interpretations, interpretation_at
 
 TIE_EPSILON = 1e-9
 MASS_EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class TableEntry:
-    index: int
-    interpretation: Interpretation
-    posterior: float
 
 
 @dataclass(frozen=True)
@@ -50,17 +42,6 @@ class PosteriorTable:
     theory: CompletedTheory
     posteriors: tuple[float, ...]
     evidence_probability: float
-
-    @cached_property
-    def entries(self) -> tuple[TableEntry, ...]:
-        """Every row as a ``TableEntry``, in index order; built on first use."""
-        rows = zip(enumerate_interpretations(self.theory.model), self.posteriors)
-        return tuple(TableEntry(index, row, posterior) for (index, row), posterior in rows)
-
-
-def _entry(table: PosteriorTable, index: int) -> TableEntry:
-    model = table.theory.model
-    return TableEntry(index, interpretation_at(model, index), table.posteriors[index])
 
 
 def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:
@@ -148,23 +129,26 @@ def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -
     return marginal(table, _literals(literals))
 
 
-def most_likely_interpretations(table: PosteriorTable) -> list[TableEntry]:
-    """All rows within TIE_EPSILON of the maximum posterior, index order."""
+def most_likely_interpretations(table: PosteriorTable) -> list[int]:
+    """The rows within TIE_EPSILON of the maximum posterior, in index order."""
     floor = max(table.posteriors) - TIE_EPSILON
-    return [_entry(table, i) for i, posterior in enumerate(table.posteriors) if posterior >= floor]
+    return [index for index, posterior in enumerate(table.posteriors) if posterior >= floor]
 
 
-def covering_mass_set(table: PosteriorTable, mass: float) -> list[TableEntry]:
+def _by_posterior(table: PosteriorTable) -> list[int]:
+    """Every row, by descending posterior and then index."""
+    return sorted(range(len(table.posteriors)), key=table.posteriors.__getitem__, reverse=True)
+
+
+def covering_mass_set(table: PosteriorTable, mass: float) -> list[int]:
     """Shortest prefix of rows (sorted by descending posterior, ties by
     index) whose cumulative posterior reaches ``mass``."""
     if not 0.0 < mass <= 1.0:
         raise ValueError(f"mass must lie in (0, 1], got {mass!r}")
-    ranked = sorted(enumerate(table.posteriors), key=lambda row: -row[1])
-    prefix: list[TableEntry] = []
+    ranked = _by_posterior(table)
     cumulative = 0.0
-    for index, posterior in ranked:
-        prefix.append(_entry(table, index))
-        cumulative += posterior
+    for count, index in enumerate(ranked, start=1):
+        cumulative += table.posteriors[index]
         if cumulative >= mass - MASS_EPSILON:
-            break
-    return prefix
+            return ranked[:count]
+    return ranked

@@ -23,6 +23,7 @@ registry.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
@@ -31,16 +32,16 @@ from .logic import _check_abducible, _explanations, _minimal_fault_sets
 from .model import (
     Diagnosis,
     FaultModel,
-    Interpretation,
     ObservationSet,
     TreatmentAction,
     UtilityModel,
+    _row_values,
     index_of_assignment,
 )
 from .probability import (
     TIE_EPSILON,
     Query,
-    TableEntry,
+    _by_posterior,
     _literal_mass,
     most_likely_interpretations,
 )
@@ -56,13 +57,13 @@ class Strategy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Candidate:
-    """One ranked answer: a fault set with its score; MPE candidates also
-    carry the full interpretation and its table index."""
+    """One ranked answer: a fault set with its score; an MPE candidate is a
+    row of the posterior table and also carries its index, which
+    ``model.interpretation_at`` decodes into the full interpretation."""
 
     fault_set: frozenset[str]
     score: float
     index: int | None = None
-    interpretation: Interpretation | None = None
 
 
 @dataclass(frozen=True)
@@ -122,23 +123,18 @@ def _rank_posterior(query: Query) -> RankedDiagnoses:
     return RankedDiagnoses(Strategy.POSTERIOR, tuple(candidates), _ties(candidates))
 
 
-def _mpe_candidate(entry: TableEntry) -> Candidate:
-    return Candidate(
-        frozenset(entry.interpretation.true_ids()),
-        entry.posterior,
-        index=entry.index,
-        interpretation=entry.interpretation,
-    )
-
-
 def _rank_mpe(query: Query) -> RankedDiagnoses:
-    table = query.table
-    ranked = sorted(table.entries, key=lambda e: (-e.posterior, e.index))
-    tied = most_likely_interpretations(table)
+    model, table = query.model, query.table
+    ids = model.hypothesis_ids
+    fault_sets = [frozenset(itertools.compress(ids, values)) for values in _row_values(model)]
+
+    def candidates(indices: list[int]) -> tuple[Candidate, ...]:
+        return tuple(Candidate(fault_sets[i], table.posteriors[i], i) for i in indices)
+
     return RankedDiagnoses(
         Strategy.MPE,
-        tuple(_mpe_candidate(entry) for entry in ranked),
-        tuple(_mpe_candidate(entry) for entry in tied),
+        candidates(_by_posterior(table)),
+        candidates(most_likely_interpretations(table)),
     )
 
 

@@ -418,11 +418,19 @@ def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strate
         (("diagnose", "--strategy", "single-fault"), 0),
         (("treat", "--utility", UNIT_GAIN), 0),
         (("cover", "--mass", "0.5"), 2),
+        (("diagnose", "--strategy", "mpe"), 0),
+        (("diagnose", "--strategy", "mpe", "--format", "json"), 0),
+        (("diagnose", "--strategy", "all"), 6),
+        (("diagnose", "--strategy", "all", "--format", "json"), 6),
+        (("interpretations",), 0),
+        (("interpretations", "--format", "json"), 0),
     ],
 )
 def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, argv, built):
-    """The table is its posteriors: a query decodes a row into an
-    Interpretation only when it prints that row (cover prints two)."""
+    """A row is its index into the posteriors: the rankers build no
+    Interpretation. The renderers that print every row decode them from
+    one walk over the rows; cover decodes only the two rows it prints.
+    Only the minimal-set searches decode their results, 3 sets each."""
     from diagnoscope.model import Interpretation
 
     constructed = [0]

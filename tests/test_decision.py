@@ -30,6 +30,7 @@ from diagnoscope.model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
+    enumerate_interpretations,
 )
 from diagnoscope.probability import marginal, posterior_table
 from diagnoscope.strategies import compare_strategies
@@ -47,12 +48,13 @@ def unit_gain_utility(treatments):
 def row_by_row_eu(table, utility, treatments, selected):
     """Independent expectation: explicit per-row utility accumulation."""
     total = 0.0
-    for entry in table.entries:
-        if entry.posterior == 0.0:
+    for index, interpretation in enumerate_interpretations(table.theory.model):
+        posterior = table.posteriors[index]
+        if posterior == 0.0:
             continue
         value = 0.0
         for treatment in treatments:
-            faulty = entry.interpretation.value(treatment.target)
+            faulty = interpretation.value(treatment.target)
             e = utility.additive.get(treatment.id, AdditiveEntry(0, 0, 0, 0))
             if treatment.id in selected:
                 value += e.treat_faulty if faulty else e.treat_ok
@@ -60,10 +62,10 @@ def row_by_row_eu(table, utility, treatments, selected):
                 value += e.skip_faulty if faulty else e.skip_ok
         for joint in utility.joint_entries:
             if all(
-                entry.interpretation.value(name) == pol for name, pol in joint.when
+                interpretation.value(name) == pol for name, pol in joint.when
             ) and all((tid in selected) == pol for tid, pol in joint.given):
                 value += joint.value
-        total += entry.posterior * value
+        total += posterior * value
     return total
 
 

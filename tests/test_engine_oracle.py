@@ -26,7 +26,7 @@ from diagnoscope.logic import (
     scenario_consistent,
     scenario_explains,
 )
-from diagnoscope.model import Hypothesis, ObservationSet
+from diagnoscope.model import Hypothesis, ObservationSet, enumerate_interpretations
 from diagnoscope.probability import covering_mass_set, marginal, posterior_table
 from diagnoscope.strategies import Strategy, compare_strategies
 
@@ -105,11 +105,11 @@ def test_engine_matches_the_oracle(problem):
     else:
         table = posterior_table(model, observations)
         assert list(table.posteriors) == rows
-        assert [entry.posterior for entry in table.entries] == rows
+        assert [table.posteriors[i] for i, _ in enumerate_interpretations(model)] == rows
         assert table.evidence_probability == evidence
         assert marginal(table, goal) == formula_marginal(model, literals, goal)
         prefix = covering_mass_set(table, mass)
-        assert [entry.index for entry in prefix] == covering_prefix(rows, mass)
+        assert prefix == covering_prefix(rows, mass)
 
     consistent = _ordered(model, minimal_sets(satisfying_fault_sets(model, literals)))
     if consistent:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
 
@@ -91,6 +92,23 @@ def test_evaluate_is_pure(circuit4):
     formula = Or((Atom("E"), Not(Atom("A"))))
     row = interpretation_at(circuit4, 11)
     assert evaluate_formula(theory, formula, row) == evaluate_formula(theory, formula, row)
+
+
+def test_evaluation_leaves_no_cyclic_garbage(circuit4):
+    """Row masks and single-row evaluations free everything they build by
+    reference counting alone: the collector finds nothing after them."""
+    theory = clark_completion(circuit4)
+    formula = And((Atom("E"), Not(Atom("A"))))
+    row = interpretation_at(circuit4, 9)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            logic._rows(theory, formula)
+            evaluate_formula(theory, formula, row)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_errors(circuit4):

@@ -191,7 +191,7 @@ def test_scores_recompute_from_the_table(circuit4, observe_current):
                 marginal(table, formula), abs=1e-12
             )
     for candidate in diagnose_mpe(circuit4, observe_current).candidates:
-        assert candidate.score == table.entries[candidate.index].posterior
+        assert candidate.score == table.posteriors[candidate.index]
 
 
 def test_single_fault_scores_are_table_rows(circuit4, observe_current):
@@ -200,7 +200,7 @@ def test_single_fault_scores_are_table_rows(circuit4, observe_current):
     total = 0.0
     for candidate in ranking.candidates:
         index = index_of_assignment(circuit4, set(candidate.fault_set))
-        assert candidate.score == table.entries[index].posterior
+        assert candidate.score == table.posteriors[index]
         total += candidate.score
     assert total <= 1.0 + 1e-12
 
