@@ -85,6 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args returns a new namespace, the parser is unchanged.
+_PARSER = build_parser()
+
+
 def run_cli(argv: list[str]) -> int:
     """Answer one query. A query builds thousands of short-lived objects
     (one per printed row), so the cyclic collector is paused while it runs
@@ -102,9 +106,8 @@ def run_cli(argv: list[str]) -> int:
 
 
 def _answer(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -90,11 +90,6 @@ class StrategyReport:
     treatment: TreatmentDecision | None = None
 
 
-def _decl_key(model: FaultModel, fault_set: frozenset[str]) -> tuple[int, ...]:
-    order = model.hypothesis_index
-    return tuple(sorted(order[name] for name in fault_set))
-
-
 def _ties(candidates: list[Candidate]) -> tuple[Candidate, ...]:
     if not candidates:
         return ()
@@ -109,17 +104,19 @@ def _rank_single_fault(query: Query) -> RankedDiagnoses:
         posterior = posteriors[index_of_assignment(model, {hypothesis.id})]
         if posterior > 0.0:
             candidates.append(Candidate(frozenset({hypothesis.id}), posterior))
-    candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
+    # Stable sort: equal scores keep declaration order.
+    candidates.sort(key=lambda c: -c.score)
     return RankedDiagnoses(Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates))
 
 
 def _rank_posterior(query: Query) -> RankedDiagnoses:
-    model, table = query.model, query.table
+    table = query.table
     candidates = [
         Candidate(frozenset({hypothesis.id}), _literal_mass(table, ((hypothesis.id, True),)))
-        for hypothesis in model.hypotheses
+        for hypothesis in query.model.hypotheses
     ]
-    candidates.sort(key=lambda c: (-c.score, _decl_key(model, c.fault_set)))
+    # Stable sort: equal scores keep declaration order.
+    candidates.sort(key=lambda c: -c.score)
     return RankedDiagnoses(Strategy.POSTERIOR, tuple(candidates), _ties(candidates))
 
 
@@ -141,16 +138,15 @@ def _rank_mpe(query: Query) -> RankedDiagnoses:
 def _scored_fault_sets(
     query: Query, diagnoses: list[Diagnosis], strategy: Strategy
 ) -> RankedDiagnoses:
-    model, table = query.model, query.table
+    table = query.table
     candidates = [
         Candidate(
             diagnosis.faulty, _literal_mass(table, ((name, True) for name in diagnosis.faulty))
         )
         for diagnosis in diagnoses
     ]
-    candidates.sort(
-        key=lambda c: (-c.score, len(c.fault_set), _decl_key(model, c.fault_set))
-    )
+    # Stable sort: equal scores keep the search's order, by size then declaration.
+    candidates.sort(key=lambda c: -c.score)
     return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates))
 
 

@@ -52,11 +52,10 @@ def write_models(models: dict[str, str], directory: Path) -> None:
 
 
 def _captured(call, argv: list[str], directory: Path) -> tuple[int, str, str]:
-    args = [arg.replace(DIR, str(directory)) for arg in argv]
+    where = str(directory)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = call(args)
-    where = str(directory)
+        code = call([arg.replace(DIR, where) for arg in argv])
     return code, out.getvalue().replace(where, DIR), err.getvalue().replace(where, DIR)
 
 
@@ -97,11 +96,6 @@ def record(code: int, out: str, err: str) -> dict:
 
 def _fixture(name: str) -> str:
     return (FIXTURES / f"{name}.fdl").read_text()
-
-
-def _decimal(exponent: int) -> str:
-    """10^-exponent written out, since the language has no exponents."""
-    return "0." + "0" * (exponent - 1) + "1"
 
 
 def _formula(rng: random.Random, atoms: list[str], depth: int) -> str:
@@ -158,7 +152,7 @@ def _models() -> dict[str, str]:
     models["circuit4_miss_penalty"] = circuit4 + _fixture("fix_miss_penalty")
     models["circuit4_observe"] = circuit4 + "observe E\n"
     models.update({f"seeded{seed}": _seeded_model(seed) for seed in range(24)})
-    tiny = _decimal(100)
+    tiny = "0." + "0" * 99 + "1"  # 1e-100; the language has no exponents
     models["underflow"] = (
         "".join(f"hypothesis {name} prior {tiny}\n" for name in "ABCD")
         + "observable E\nrule A & B & C & D => E\n"
@@ -218,10 +212,10 @@ def _path(name: str) -> str:
     return f"{DIR}/{name}.fdl"
 
 
-def _queries(model: str, observations, formats=FORMATS):
+def _queries(model: str, observations):
     """Every subcommand but check on one model, per observation and format."""
     for observe in observations:
-        for fmt in formats:
+        for fmt in FORMATS:
             tail = (*observe, *fmt)
             yield ("interpretations", _path(model), *tail)
             for strategy in STRATEGIES:
@@ -255,10 +249,9 @@ def _argvs(models: dict[str, str]):
     for name in (*seeded, *special):
         yield ("check", _path(name))
         yield from _queries(name, ((),))
-    yield from _queries("underflow", ((("--observe", "E"),)))
-    for name in ("findings", "free_observed", "missing", *sorted(
-        name for name in models if name.startswith("parse_") or name == "undecodable"
-    )):
+    yield from _queries("underflow", (("--observe", "E"),))
+    broken = sorted(name for name in models if name.startswith("parse_"))
+    for name in ("findings", "free_observed", "missing", *broken, "undecodable"):
         yield ("check", _path(name))
         yield ("interpretations", _path(name))
         yield ("diagnose", _path(name), "--strategy", "all", "--format", "json")

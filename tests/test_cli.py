@@ -281,18 +281,25 @@ def test_observe_flags_override_file_observations(capsys, tmp_path):
 
 
 def test_repeated_runs_are_byte_identical(capsys):
+    """One process answers a mixed sequence forwards, then in reverse, and
+    every argv gets the same answer both times: the shared parser carries
+    nothing from one query to the next."""
     commands = [
         ("check", CIRCUIT4),
-        ("interpretations", CIRCUIT4, "--observe", "E"),
-        ("diagnose", CIRCUIT4, "--observe", "E", "--strategy", "all"),
-        ("diagnose", CIRCUIT4_C12, "--observe", "E", "--strategy", "mpe", "--format", "json"),
         ("treat", CIRCUIT4, "--observe", "E", "--utility", UNIT_GAIN),
+        ("diagnose", CIRCUIT4, "--observe", "E", "--strategy", "all"),
+        ("interpretations", CIRCUIT4, "--observe", "E", "--observe", "E"),
+        ("diagnose", CIRCUIT4_C12, "--strategy", "mpe", "--format", "json"),
+        ("diagnose", CIRCUIT4, "--strategy", "best"),
         ("cover", CIRCUIT4, "--observe", "E", "--mass", "0.9"),
+        ("treat", "--help"),
+        ("diagnose", CIRCUIT4, "--strategy", "posterior"),
+        ("treat", CIRCUIT4, "--observe", "!E", "--format", "json"),
     ]
-    for argv in commands:
-        first = run(capsys, *argv)
-        second = run(capsys, *argv)
-        assert first == second
+    first = {argv: run(capsys, *argv) for argv in commands}
+    for argv in reversed(commands):
+        assert run(capsys, *argv) == first[argv], argv
+    assert first[commands[-1]][0] == 1  # no --utility left over from the first treat
 
 
 @pytest.mark.parametrize(
@@ -318,6 +325,31 @@ def test_query_collects_its_own_cycles(capsys, argv):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", CIRCUIT4),
+        ("diagnose", CIRCUIT4, "--observe", "E", "--strategy", "all"),
+        ("diagnose", CIRCUIT4, "--strategy", "best"),
+    ],
+)
+def test_a_query_builds_no_argument_parser(capsys, monkeypatch, argv):
+    """The parser is built once, when the module is imported."""
+    import argparse
+
+    built = [0]
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == (2 if argv[-1] == "best" else 0)
+    assert built[0] == 0
 
 
 def test_undecodable_file_is_a_file_error(capsys, tmp_path):
