@@ -485,8 +485,12 @@ def _format_number(value: float) -> str:
     from decimal import Decimal
 
     # .fdl numbers are plain decimals: the positional form of the shortest
-    # repr, which parses back to the same float.
-    return format(Decimal(repr(float(value))), "f")
+    # repr, which parses back to the same float, or for an infinity 1e309,
+    # which parses back to it too. No text parses to NaN.
+    number = Decimal(repr(float(value)))
+    if number.is_nan():
+        raise ValueError("NaN cannot be written as .fdl")
+    return format(Decimal("1e309").copy_sign(number) if number.is_infinite() else number, "f")
 
 
 def _format_literals(literals: tuple[tuple[str, bool], ...]) -> str:

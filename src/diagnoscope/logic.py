@@ -37,7 +37,6 @@ from .errors import (
 )
 from .formulas import Atom, Formula, Not, Truth, conjunction, disjunction, evaluate
 from .model import (
-    Diagnosis,
     FaultModel,
     Interpretation,
     ObservationSet,
@@ -214,7 +213,7 @@ def _closure(rows: int, count: int, up: bool) -> int:
     return rows
 
 
-def _minimal_fault_sets(model: FaultModel, family: int) -> list[Diagnosis]:
+def _minimal_fault_sets(model: FaultModel, family: int) -> list[frozenset[str]]:
     """The set-inclusion-minimal fault sets of a family, given as the row
     mask of its members' exact-fault rows; ordered by cardinality then
     declaration order."""
@@ -231,12 +230,12 @@ def _minimal_fault_sets(model: FaultModel, family: int) -> list[Diagnosis]:
     rows = sorted(rows, key=lambda row: -row.bit_count())
     if not rows:
         raise UnexplainableObservationError("observation unexplainable")
-    return [Diagnosis(frozenset(interpretation_at(model, row).true_ids())) for row in rows]
+    return [frozenset(interpretation_at(model, row).true_ids()) for row in rows]
 
 
 def consistency_diagnoses(
     theory: CompletedTheory, observations: ObservationSet
-) -> list[Diagnosis]:
+) -> list[frozenset[str]]:
     """Minimal fault sets whose exact-fault interpretation satisfies the
     facts and observations; ordered by cardinality then declaration order."""
     check_observations(theory.model, observations)
@@ -246,7 +245,7 @@ def consistency_diagnoses(
 
 def abductive_explanations(
     theory: CompletedTheory, observations: ObservationSet
-) -> list[Diagnosis]:
+) -> list[frozenset[str]]:
     """Minimal fault sets that are consistent and entail the observations in
     every fact-satisfying extension; same ordering as consistency_diagnoses."""
     _check_abducible(theory.model, observations)
@@ -265,7 +264,7 @@ def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:
             )
 
 
-def _explanations(model: FaultModel, facts: int, good: int) -> list[Diagnosis]:
+def _explanations(model: FaultModel, facts: int, good: int) -> list[frozenset[str]]:
     """The minimal explaining fault sets, from the row masks of the facts
     and of the facts and observations."""
     count = len(model.hypotheses)

@@ -154,13 +154,6 @@ class Interpretation:
 
 
 @dataclass(frozen=True)
-class Diagnosis:
-    """A set of hypotheses asserted faulty."""
-
-    faulty: frozenset[str]
-
-
-@dataclass(frozen=True)
 class TreatmentAction:
     """A repair action addressing a single hypothesis."""
 

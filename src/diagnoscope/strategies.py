@@ -7,10 +7,13 @@ different reading of the question:
   explains the data (scored by the full interpretation's posterior);
 * posterior: which individual hypothesis has the highest marginal;
 * mpe: which total interpretation has the highest posterior;
-* consistency: minimal fault sets consistent with the observations,
-  scored by the marginal of their positive conjunction;
-* abductive: minimal fault sets entailing the observations, scored the
-  same way.
+* consistency: minimal fault sets consistent with the observations;
+* abductive: minimal fault sets entailing the observations.
+
+Posterior, consistency and abduction share one scorer (``_scored``), the
+posterior mass of a fault set's positive conjunction, and differ only in
+the fault sets they score. Every ranker but MPE's ends in one stable sort
+that takes the ties (``_ranked``).
 
 They can disagree on the same input; compare_strategies runs all of them
 and flags every pair whose leaders differ once projected to fault sets.
@@ -30,7 +33,6 @@ from .decision import TreatmentDecision, _optimal_treatment
 from .errors import DiagnoscopeError
 from .logic import _check_abducible, _explanations, _minimal_fault_sets
 from .model import (
-    Diagnosis,
     FaultModel,
     ObservationSet,
     TreatmentAction,
@@ -90,34 +92,32 @@ class StrategyReport:
     treatment: TreatmentDecision | None = None
 
 
-def _ties(candidates: list[Candidate]) -> tuple[Candidate, ...]:
-    if not candidates:
-        return ()
-    top = candidates[0].score
-    return tuple(c for c in candidates if c.score >= top - TIE_EPSILON)
+def _ranked(strategy: Strategy, candidates: list[Candidate]) -> RankedDiagnoses:
+    """Sort stably by descending score, so that equal scores keep the order
+    the candidates come in, and take the ties within TIE_EPSILON of the top."""
+    candidates.sort(key=lambda c: -c.score)
+    top = candidates[0].score if candidates else 0.0
+    ties = tuple(c for c in candidates if c.score >= top - TIE_EPSILON)
+    return RankedDiagnoses(strategy, tuple(candidates), ties)
+
+
+def _scored(query: Query, strategy: Strategy, fault_sets: list[frozenset[str]]) -> RankedDiagnoses:
+    """Rank fault sets by the posterior mass of their positive literals."""
+    table = query.table
+    candidates = [Candidate(s, _literal_mass(table, ((n, True) for n in s))) for s in fault_sets]
+    return _ranked(strategy, candidates)
 
 
 def _rank_single_fault(query: Query) -> RankedDiagnoses:
     model, posteriors = query.model, query.table.posteriors
-    candidates: list[Candidate] = []
-    for hypothesis in model.hypotheses:
-        posterior = posteriors[index_of_assignment(model, {hypothesis.id})]
-        if posterior > 0.0:
-            candidates.append(Candidate(frozenset({hypothesis.id}), posterior))
-    # Stable sort: equal scores keep declaration order.
-    candidates.sort(key=lambda c: -c.score)
-    return RankedDiagnoses(Strategy.SINGLE_FAULT, tuple(candidates), _ties(candidates))
+    scores = {h: posteriors[index_of_assignment(model, {h})] for h in model.hypothesis_ids}
+    possible = [Candidate(frozenset({h}), p) for h, p in scores.items() if p > 0.0]
+    return _ranked(Strategy.SINGLE_FAULT, possible)
 
 
 def _rank_posterior(query: Query) -> RankedDiagnoses:
-    table = query.table
-    candidates = [
-        Candidate(frozenset({hypothesis.id}), _literal_mass(table, ((hypothesis.id, True),)))
-        for hypothesis in query.model.hypotheses
-    ]
-    # Stable sort: equal scores keep declaration order.
-    candidates.sort(key=lambda c: -c.score)
-    return RankedDiagnoses(Strategy.POSTERIOR, tuple(candidates), _ties(candidates))
+    singletons = [frozenset({name}) for name in query.model.hypothesis_ids]
+    return _scored(query, Strategy.POSTERIOR, singletons)
 
 
 def _rank_mpe(query: Query) -> RankedDiagnoses:
@@ -135,30 +135,15 @@ def _rank_mpe(query: Query) -> RankedDiagnoses:
     )
 
 
-def _scored_fault_sets(
-    query: Query, diagnoses: list[Diagnosis], strategy: Strategy
-) -> RankedDiagnoses:
-    table = query.table
-    candidates = [
-        Candidate(
-            diagnosis.faulty, _literal_mass(table, ((name, True) for name in diagnosis.faulty))
-        )
-        for diagnosis in diagnoses
-    ]
-    # Stable sort: equal scores keep the search's order, by size then declaration.
-    candidates.sort(key=lambda c: -c.score)
-    return RankedDiagnoses(strategy, tuple(candidates), _ties(candidates))
-
-
+# The searches give their minimal sets by size, then declaration order.
+# They run before the table is built, so that their errors come first.
 def _rank_consistency(query: Query) -> RankedDiagnoses:
-    diagnoses = _minimal_fault_sets(query.model, query.good)
-    return _scored_fault_sets(query, diagnoses, Strategy.CONSISTENCY)
+    return _scored(query, Strategy.CONSISTENCY, _minimal_fault_sets(query.model, query.good))
 
 
 def _rank_abductive(query: Query) -> RankedDiagnoses:
     _check_abducible(query.model, query.observations)
-    diagnoses = _explanations(query.model, query.facts, query.good)
-    return _scored_fault_sets(query, diagnoses, Strategy.ABDUCTIVE)
+    return _scored(query, Strategy.ABDUCTIVE, _explanations(query.model, query.facts, query.good))
 
 
 # The one strategy registry, in report order.

@@ -218,7 +218,7 @@ def test_criterion_7b_subset_minimality():
                     result = op(theory, observations)
                 except UnexplainableObservationError:
                     continue
-                sets = [d.faulty for d in result]
+                sets = [d for d in result]
                 for diag in sets:
                     for size in range(len(diag)):
                         for subset in itertools.combinations(diag, size):
@@ -247,7 +247,7 @@ def test_criterion_7c_consistency_equals_abduction():
                 checked += 1
                 continue
             abduced = abductive_explanations(theory, observations)
-            assert [d.faulty for d in consistent] == [d.faulty for d in abduced]
+            assert [d for d in consistent] == [d for d in abduced]
             checked += 1
 
 
@@ -327,7 +327,7 @@ def test_criterion_7f_consistency_brute_force_equivalence():
                 assert expected == set()
                 checked += 1
                 continue
-            assert {d.faulty for d in result} == expected
+            assert {d for d in result} == expected
             checked += 1
         assert checked >= 100
 

@@ -478,3 +478,39 @@ def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, arg
     if argv[0] == "cover":
         assert len(out.splitlines()) == 3 + built
     assert constructed[0] == built
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("diagnose", "--strategy", "single-fault"), 1),
+        (("diagnose", "--strategy", "posterior"), 4),
+        (("diagnose", "--strategy", "mpe"), 17),
+        (("diagnose", "--strategy", "mpe", "--format", "json"), 17),
+        (("diagnose", "--strategy", "consistency"), 3),
+        (("diagnose", "--strategy", "abductive"), 3),
+        (("diagnose", "--strategy", "all"), 28),
+        (("diagnose", "--strategy", "all", "--format", "json"), 28),
+        (("interpretations",), 0),
+        (("cover", "--mass", "0.5"), 0),
+        (("treat", "--utility", UNIT_GAIN), 0),
+    ],
+)
+def test_candidates_built_per_command(capsys, monkeypatch, argv, built):
+    """One Candidate per ranked answer, ties included: single-fault keeps
+    only its possible hypothesis, posterior scores all 4, MPE ranks the 16
+    rows and repeats its one leader as the tie, and each search returns 3
+    minimal sets. The commands that print rows build none."""
+    from diagnoscope.strategies import Candidate
+
+    constructed = [0]
+    original = Candidate.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Candidate, "__init__", counting)
+    code, _, _ = run(capsys, argv[0], CIRCUIT4, "--observe", "E", *argv[1:])
+    assert code == 0
+    assert constructed[0] == built

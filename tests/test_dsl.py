@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,27 @@ def test_numbers_are_written_as_plain_decimals():
     assert "prior 0.00001\n" in text
     assert "treat-faulty 100000000000000000000 treat-ok -0.5 skip-faulty 0.0 skip-ok 1.0" in text
     assert parse_model_file(text) == bundle
+
+
+def test_numbers_past_the_float_range_round_trip():
+    """A literal too large for a float reads as an infinity; it is written
+    back as a plain decimal that reads as the same infinity. NaN, which no
+    text reads as, is refused."""
+    huge = "9" * 400
+    bundle = parse_model_file(
+        f"hypothesis A prior {huge}\nobservable E\nrule A => E\n"
+        "treatment FixA targets A\n"
+        f"utility FixA treat-faulty -{huge} treat-ok {huge} skip-faulty 0 skip-ok 1\n"
+    )
+    assert bundle.model.hypotheses[0].prior == float("inf")
+    assert bundle.findings
+    text = serialize_bundle(bundle)
+    assert f"prior 1{'0' * 309}\n" in text
+    assert f"treat-faulty -1{'0' * 309} treat-ok 1{'0' * 309} " in text
+    assert parse_model_file(text) == bundle
+    nan_prior = replace(bundle.model, hypotheses=(Hypothesis("A", float("nan")),))
+    with pytest.raises(ValueError, match="NaN"):
+        serialize_bundle(replace(bundle, model=nan_prior))
 
 
 def _bundle_with_fact(fact):

@@ -114,7 +114,7 @@ def test_engine_matches_the_oracle(problem):
     consistent = _ordered(model, minimal_sets(satisfying_fault_sets(model, literals)))
     if consistent:
         result = consistency_diagnoses(theory, observations)
-        assert [d.faulty for d in result] == consistent
+        assert [d for d in result] == consistent
     else:
         with pytest.raises(UnexplainableObservationError):
             consistency_diagnoses(theory, observations)
@@ -127,7 +127,7 @@ def test_engine_matches_the_oracle(problem):
         explaining = _ordered(model, minimal_sets(explaining_fault_sets(model, literals)))
         if explaining:
             result = abductive_explanations(theory, observations)
-            assert [d.faulty for d in result] == explaining
+            assert [d for d in result] == explaining
         else:
             with pytest.raises(UnexplainableObservationError):
                 abductive_explanations(theory, observations)

@@ -242,10 +242,10 @@ def test_maximal_scenarios_counts(circuit4):
 def test_consistency_diagnoses_circuit4(circuit4, observe_current):
     theory = clark_completion(circuit4)
     result = consistency_diagnoses(theory, observe_current)
-    assert [sorted(d.faulty) for d in result] == [["A"], ["B", "C"], ["B", "D"]]
+    assert [sorted(d) for d in result] == [["A"], ["B", "C"], ["B", "D"]]
 
     no_current = consistency_diagnoses(theory, ObservationSet.of("!E"))
-    assert [d.faulty for d in no_current] == [frozenset()]
+    assert [d for d in no_current] == [frozenset()]
 
     with pytest.raises(UnknownAtomError):
         consistency_diagnoses(theory, ObservationSet.of("X"))
@@ -266,7 +266,7 @@ def test_consistency_unexplainable():
 def test_abductive_explanations_circuit4(circuit4, observe_current):
     theory = clark_completion(circuit4)
     result = abductive_explanations(theory, observe_current)
-    assert [sorted(d.faulty) for d in result] == [["A"], ["B", "C"], ["B", "D"]]
+    assert [sorted(d) for d in result] == [["A"], ["B", "C"], ["B", "D"]]
 
     with pytest.raises(NegativeObservationError, match="positive"):
         abductive_explanations(theory, ObservationSet.of("!E"))
@@ -280,7 +280,7 @@ def test_abductive_single_rule_model():
     )
     theory = clark_completion(model)
     result = abductive_explanations(theory, ObservationSet.of("E"))
-    assert [d.faulty for d in result] == [frozenset({"A"})]
+    assert [d for d in result] == [frozenset({"A"})]
 
 
 def _all_small_monotone_models():
@@ -321,7 +321,7 @@ def test_monotone_equivalence_exhaustive():
                         abductive_explanations(theory, observations)
                     continue
                 abduced = abductive_explanations(theory, observations)
-                assert [d.faulty for d in consistent] == [d.faulty for d in abduced]
+                assert [d for d in consistent] == [d for d in abduced]
                 checked += 1
     assert checked > 500
 
@@ -340,10 +340,10 @@ def test_diagnoses_are_subset_minimal():
                 result = op(theory, observations)
             except UnexplainableObservationError:
                 continue
-            returned = {d.faulty for d in result}
+            returned = {d for d in result}
             for diag in result:
-                for smaller_size in range(len(diag.faulty)):
-                    for subset in itertools.combinations(diag.faulty, smaller_size):
+                for smaller_size in range(len(diag)):
+                    for subset in itertools.combinations(diag, smaller_size):
                         assert frozenset(subset) not in returned
 
 
@@ -369,11 +369,11 @@ def test_consistency_matches_brute_force_oracle():
         except UnexplainableObservationError:
             assert expected == set()
             continue
-        assert {d.faulty for d in result} == expected
+        assert {d for d in result} == expected
         # ordering: cardinality first, then declaration order
         order = model.hypothesis_index
         keys = [
-            (len(d.faulty), tuple(sorted(order[n] for n in d.faulty))) for d in result
+            (len(d), tuple(sorted(order[n] for n in d))) for d in result
         ]
         assert keys == sorted(keys)
 
@@ -404,7 +404,7 @@ def test_abduction_matches_brute_force_oracle_with_facts():
         except UnexplainableObservationError:
             assert expected == []
             continue
-        assert [d.faulty for d in result] == expected
+        assert [d for d in result] == expected
         checked += 1
     assert checked >= 80
 
@@ -422,12 +422,12 @@ def test_consistency_at_twelve_hypotheses():
     )
     theory = clark_completion(model)
     result = consistency_diagnoses(theory, ObservationSet.of("E"))
-    assert [sorted(d.faulty) for d in result] == [
+    assert [sorted(d) for d in result] == [
         ["G0"], ["G1", "G2"], ["G10", "G11"],
         ["G3", "G4", "G5"], ["G6", "G7", "G8", "G9"],
     ]
     quiet = consistency_diagnoses(theory, ObservationSet.of("!E"))
-    assert [d.faulty for d in quiet] == [frozenset()]
+    assert [d for d in quiet] == [frozenset()]
 
 
 def test_logic_ops_are_deterministic(circuit4, observe_current):
