@@ -227,7 +227,8 @@ def _row_texts(model: FaultModel) -> list[str]:
 
 
 def _dollars(value: float) -> str:
-    return f"-${abs(value):.4f}" if value < 0 else f"${value:.4f}"
+    text = f"{value:.4f}"
+    return f"-${text[1:]}" if text.startswith("-") else f"${text}"
 
 
 def _table(rows: list[list[str]], right_align: set[int]) -> list[str]:

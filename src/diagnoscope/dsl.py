@@ -13,9 +13,10 @@ ignored):
     utility joint when <lit> (& <lit>)* given <lit> (& <lit>)* value <v>
 
 Joint-utility literals accept ``!`` on hypothesis ids (fault absent) and on
-treatment ids (treatment not chosen). Identifiers may contain internal
-hyphens (``treat-faulty`` is one token); ``true`` and ``false`` are
-reserved. Numbers are plain decimals (``-2.5``, ``0.00001``), without
+treatment ids (treatment not chosen). An identifier starts with a letter or
+``_``, continues with letters, digits and ``_``, and may contain a ``-``
+only before a letter (``treat-faulty`` is one token); ``true`` and
+``false`` are reserved. Numbers are plain decimals (``-2.5``, ``0.00001``), without
 exponent notation. Parsing stops at the first syntax error; semantic
 problems (priors out of range, unknown ids, contradictory observations,
 ...) are collected as validation findings on the parsed bundle instead.
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DiagnoscopeError
-from .formulas import CONNECTIVES, FALSE, TRUE, Atom, Formula, Not, render
+from .formulas import CONNECTIVES, FALSE, TRUE, Atom, Formula, Not, atom_names, render
 from .model import (
     AdditiveEntry,
     CausalRule,
@@ -36,7 +38,6 @@ from .model import (
     JointEntry,
     ObservableVar,
     ObservationSet,
-    RESERVED_WORDS,
     TreatmentAction,
     UtilityModel,
     ValidationFinding,
@@ -55,6 +56,8 @@ _STATEMENT_KEYWORDS = (
     "utility",
 )
 
+RESERVED_WORDS = frozenset({"true", "false"})
+
 _ADDITIVE_LABELS = ("treat-faulty", "treat-ok", "skip-faulty", "skip-ok")
 
 # Deepest nesting accepted in one formula, counting each '(', '!' and
@@ -63,10 +66,18 @@ _ADDITIVE_LABELS = ("treat-faulty", "treat-ok", "skip-faulty", "skip-ok")
 MAX_FORMULA_DEPTH = 100
 
 _PUNCTUATION = ("=>", "(", ")", "!", *(c.spelling for c in CONNECTIVES))
-# Longest first, so that '<->' is not read as '<' followed by '->'.
-_PUNCTUATION_PATTERN = re.compile(
-    "|".join(map(re.escape, sorted(_PUNCTUATION, key=len, reverse=True)))
+
+# One token after optional whitespace; punctuation longest first, so that
+# '<->' is not read as '<' followed by '->'. \d is str.isdecimal, so a
+# superscript (a digit that float() rejects) is no number.
+_TOKEN_PATTERN = re.compile(
+    r"\s*(?:(?P<end>#|$)"
+    rf"|(?P<punct>{'|'.join(map(re.escape, sorted(_PUNCTUATION, key=len, reverse=True)))})"
+    r"|(?P<number>[+-]?\d+(?:\.\d+)?)"
+    r"|(?P<ident>[^\W\d]\w*(?:-[^\W\d_]\w*)*)"
+    r"|(?P<other>.))"
 )
+_PART_START = re.compile(r"(?:^|-)(.)")  # first character of each hyphen-joined part
 
 
 @dataclass(frozen=True)
@@ -88,60 +99,36 @@ class ParseError(DiagnoscopeError):
         self.expected = tuple(expected)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", or the punctuation text itself
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, len(self.text))
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
+    for match in _TOKEN_PATTERN.finditer(text):
+        kind = match.lastgroup
+        if kind == "end":
             break
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        match = _PUNCTUATION_PATTERN.match(text, i)
-        if match is not None:
-            punct = match.group()
-            tokens.append(Token(punct, punct, SourceSpan(line_no, start + 1, len(punct))))
-            i += len(punct)
-            continue
-        # isdecimal, not isdigit: superscripts are digits that float() rejects
-        if ch.isdecimal() or (ch in "+-" and i + 1 < n and text[i + 1].isdecimal()):
-            i += 1
-            while i < n and text[i].isdecimal():
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdecimal():
-                i += 1
-                while i < n and text[i].isdecimal():
-                    i += 1
-            tokens.append(
-                Token("number", text[start:i], SourceSpan(line_no, start + 1, i - start))
-            )
-            continue
-        if ch.isalpha() or ch == "_":
-            i += 1
-            while i < n:
-                if text[i].isalnum() or text[i] == "_":
-                    i += 1
-                elif text[i] == "-" and i + 1 < n and text[i + 1].isalpha():
-                    i += 2
-                else:
+        word, column = match[kind], match.start(kind)
+        if kind == "ident" and not word.isascii():
+            # [^\W\d] also admits numerals ('²', 'Ⅷ') that str.isalpha rejects;
+            # one opening the identifier, or following a hyphen in it, is an error
+            for part in _PART_START.finditer(word):
+                if not (part[1].isalpha() or part[1] == "_"):
+                    kind, column = "other", column + part.start()
                     break
-            tokens.append(
-                Token("ident", text[start:i], SourceSpan(line_no, start + 1, i - start))
+        if kind == "other":
+            raise ParseError(
+                SourceSpan(line_no, column + 1, 1), f"unexpected character {text[column]!r}"
             )
-            continue
-        raise ParseError(
-            SourceSpan(line_no, start + 1, 1), f"unexpected character {ch!r}"
-        )
+        tokens.append(Token(word if kind == "punct" else kind, word, line_no, column + 1))
     return tokens
 
 
@@ -165,14 +152,11 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def _end_span(self) -> SourceSpan:
-        return self.tokens[-1].span
-
     def fail(self, what: str, expected: tuple[str, ...]) -> ParseError:
         token = self.peek()
         if token is None:
             return ParseError(
-                self._end_span(), f"unexpected end of line, expected {what}", expected
+                self.tokens[-1].span, f"unexpected end of line, expected {what}", expected
             )
         return ParseError(
             token.span, f"expected {what}, found '{token.text}'", expected
@@ -187,38 +171,21 @@ class _Cursor:
         self.advance()
         self.depth += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect(self, kind: str, what: str, text: str | None = None) -> Token:
+        """Consume the next token if it is of ``kind`` (and reads ``text``,
+        when given); otherwise fail, naming ``what`` (quoted for a literal)."""
         token = self.peek()
-        if token is None or token.kind != "ident":
-            raise self.fail(what, (what,))
+        if token is None or token.kind != kind or text not in (None, token.text):
+            raise self.fail(what, (what.strip("'"),))
         return self.advance()
 
     def expect_name(self, what: str) -> Token:
-        token = self.expect_ident(what)
+        token = self.expect("ident", what)
         if token.text in RESERVED_WORDS:
             raise ParseError(
                 token.span, f"reserved word '{token.text}' cannot be used as {what}", (what,)
             )
         return token
-
-    def expect_keyword(self, keyword: str) -> Token:
-        token = self.peek()
-        if token is None or token.kind != "ident" or token.text != keyword:
-            raise self.fail(f"'{keyword}'", (keyword,))
-        return self.advance()
-
-    def expect_number(self, what: str = "decimal value") -> float:
-        token = self.peek()
-        if token is None or token.kind != "number":
-            raise self.fail(what, (what,))
-        self.advance()
-        return float(token.text)
-
-    def expect_punct(self, punct: str) -> Token:
-        token = self.peek()
-        if token is None or token.kind != punct:
-            raise self.fail(f"'{punct}'", (punct,))
-        return self.advance()
 
     def expect_end(self) -> None:
         token = self.peek()
@@ -275,8 +242,8 @@ def parse_document(text: str) -> Document:
 
 def _parse_hypothesis(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("hypothesis identifier")
-    cursor.expect_keyword("prior")
-    prior = cursor.expect_number("prior probability")
+    cursor.expect("ident", "'prior'", "prior")
+    prior = float(cursor.expect("number", "prior probability").text)
     cursor.expect_end()
     doc.hypotheses.append(Hypothesis(name.text, prior))
 
@@ -285,7 +252,7 @@ def _parse_observable(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("observable identifier")
     free = False
     if not cursor.at_end():
-        cursor.expect_keyword("free")
+        cursor.expect("ident", "'free'", "free")
         free = True
         cursor.expect_end()
     doc.observables.append(ObservableVar(name.text, free))
@@ -306,7 +273,7 @@ def _parse_rule(cursor: _Cursor, doc: Document) -> None:
                     amp.span, "dangling '&' in rule body", ("hypothesis identifier",)
                 )
             body.append(cursor.advance().text)
-    cursor.expect_punct("=>")
+    cursor.expect("=>", "'=>'")
     head = cursor.expect_name("observable identifier")
     cursor.expect_end()
     doc.rules.append(CausalRule(tuple(body), head.text))
@@ -326,7 +293,7 @@ def _parse_observe(cursor: _Cursor, doc: Document) -> None:
 
 def _parse_treatment(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("treatment identifier")
-    cursor.expect_keyword("targets")
+    cursor.expect("ident", "'targets'", "targets")
     target = cursor.expect_name("hypothesis identifier")
     cursor.expect_end()
     doc.treatments.append(TreatmentAction(name.text, target.text))
@@ -351,20 +318,20 @@ def _parse_utility(cursor: _Cursor, doc: Document) -> None:
     token = cursor.peek()
     if token is not None and token.kind == "ident" and token.text == "joint":
         cursor.advance()
-        cursor.expect_keyword("when")
+        cursor.expect("ident", "'when'", "when")
         when = _parse_literal_list(cursor, "hypothesis literal")
-        cursor.expect_keyword("given")
+        cursor.expect("ident", "'given'", "given")
         given = _parse_literal_list(cursor, "treatment literal")
-        cursor.expect_keyword("value")
-        value = cursor.expect_number("utility value")
+        cursor.expect("ident", "'value'", "value")
+        value = float(cursor.expect("number", "utility value").text)
         cursor.expect_end()
         doc.joints.append(JointEntry(when, given, value))
         return
     name = cursor.expect_name("treatment identifier")
     values: list[float] = []
     for label in _ADDITIVE_LABELS:
-        cursor.expect_keyword(label)
-        values.append(cursor.expect_number("utility value"))
+        cursor.expect("ident", f"'{label}'", label)
+        values.append(float(cursor.expect("number", "utility value").text))
     cursor.expect_end()
     doc.additive.append((name.text, AdditiveEntry(*values)))
 
@@ -407,7 +374,7 @@ def _parse_unary(cursor: _Cursor) -> Formula:
             inner = Not(_parse_unary(cursor))
         else:
             inner = _parse_formula(cursor)
-            cursor.expect_punct(")")
+            cursor.expect(")", "')'")
         cursor.depth -= 1
         return inner
     if token.kind == "ident":
@@ -493,13 +460,25 @@ def _format_number(value: float) -> str:
     return format(Decimal("1e309").copy_sign(number) if number.is_infinite() else number, "f")
 
 
+def _name(name: str) -> str:
+    """``name``, if the reader reads it back as one identifier token."""
+    try:
+        if _tokenize_line(name, 1) == [Token("ident", name, 1, 1)] and name not in RESERVED_WORDS:
+            return name
+    except ParseError:
+        pass
+    raise ValueError(f"name cannot be written as .fdl: {name!r}")
+
+
 def _format_literals(literals: tuple[tuple[str, bool], ...]) -> str:
-    return " & ".join(name if pol else f"!{name}" for name, pol in literals)
+    return " & ".join(("" if pol else "!") + _name(name) for name, pol in literals)
 
 
 def _fact_line(fact: Formula) -> str:
     """The ``fact`` line for ``fact``, read back by the parser's own formula
     reader so that its nesting is counted exactly as the parser counts it."""
+    for name in sorted(atom_names(fact)):
+        _name(name)
     text = render(fact)
     try:
         _parse_formula(_Cursor(_tokenize_line(text, 1)))
@@ -514,31 +493,34 @@ def serialize_bundle(bundle: ParsedBundle) -> str:
     Reparsing yields an equal bundle when the bundle is in the parser's
     normal form: nested conjunctions and disjunctions read back flattened,
     so a fact ``And((And((A, A)), A))`` returns as ``And((A, A, A))``.
-    Raises ValueError for a fact the parser would reject, such as one
-    nested deeper than MAX_FORMULA_DEPTH levels.
+    Raises ValueError for what would not read back: a name that is not one
+    non-reserved identifier, the additive utility of a treatment named
+    ``joint``, a fact nested deeper than MAX_FORMULA_DEPTH levels, a NaN.
     """
     lines: list[str] = []
     for hypothesis in bundle.model.hypotheses:
         lines.append(
-            f"hypothesis {hypothesis.id} prior {_format_number(hypothesis.prior)}"
+            f"hypothesis {_name(hypothesis.id)} prior {_format_number(hypothesis.prior)}"
         )
     for observable in bundle.model.observables:
         suffix = " free" if observable.free else ""
-        lines.append(f"observable {observable.id}{suffix}")
+        lines.append(f"observable {_name(observable.id)}{suffix}")
     for rule in bundle.model.rules:
-        body = " & ".join(rule.body) if rule.body else "true"
-        lines.append(f"rule {body} => {rule.head}")
+        body = " & ".join(map(_name, rule.body)) if rule.body else "true"
+        lines.append(f"rule {body} => {_name(rule.head)}")
     for fact in bundle.model.extra_facts:
         lines.append(_fact_line(fact))
     if bundle.observations is not None:
-        for name, polarity in bundle.observations.literals:
-            lines.append(f"observe {name}" if polarity else f"observe !{name}")
+        for literal in bundle.observations.literals:
+            lines.append(f"observe {_format_literals((literal,))}")
     for treatment in bundle.treatments:
-        lines.append(f"treatment {treatment.id} targets {treatment.target}")
+        lines.append(f"treatment {_name(treatment.id)} targets {_name(treatment.target)}")
     if bundle.utility is not None:
         for tid, entry in bundle.utility.additive.items():
+            if tid == "joint":  # 'utility joint' opens a joint utility line
+                raise ValueError("utility of treatment 'joint' cannot be written as .fdl")
             lines.append(
-                f"utility {tid}"
+                f"utility {_name(tid)}"
                 f" treat-faulty {_format_number(entry.treat_faulty)}"
                 f" treat-ok {_format_number(entry.treat_ok)}"
                 f" skip-faulty {_format_number(entry.skip_faulty)}"

@@ -25,8 +25,6 @@ from .formulas import Formula, atom_names
 
 HYPOTHESIS_CAP = 20
 
-RESERVED_WORDS = frozenset({"true", "false"})
-
 
 @dataclass(frozen=True)
 class Hypothesis:

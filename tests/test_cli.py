@@ -159,6 +159,17 @@ def test_treat_with_everything_in_one_file(capsys, tmp_path):
     assert out.splitlines()[0] == "chosen: {FixB}"
 
 
+def test_negative_zero_amounts_put_the_sign_before_the_dollar(capsys, tmp_path):
+    path = tmp_path / "zero.fdl"
+    path.write_text(
+        "treatment FixA targets A\n"
+        "utility FixA treat-faulty -0 treat-ok -0 skip-faulty -0 skip-ok -0\n"
+    )
+    code, out, _ = run(capsys, "treat", CIRCUIT4, "--observe", "E", "--utility", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "  FixA -$0.0000"
+
+
 def test_treat_without_utility_errors(capsys):
     code, out, err = run(capsys, "treat", CIRCUIT4, "--observe", "E")
     assert code == 1

@@ -90,6 +90,8 @@ def test_various_parse_errors():
         ("hypothesis A prior 0.5 extra\n", "after statement"),
         ("fact A @ B\n", "unexpected character"),
         ("hypothesis A prior \u00b2\n", "unexpected character"),
+        ("hypothesis \u2167 prior 0.1\n", "unexpected character '\u2167'"),
+        ("hypothesis A-\u00b2 prior 0.1\n", "unexpected character '-'"),
         ("utility FixA treat-faulty 1 skip-faulty 0 treat-ok -1 skip-ok 0\n", "treat-ok"),
     ]:
         with pytest.raises(ParseError) as exc_info:
@@ -106,16 +108,46 @@ def test_parse_error_spans_point_inside_the_text():
         "treatment T targets\n",
         "utility joint when A given value 1\n",
         "% strange\n",
+        "hypothesis \u2167 prior 0.1\n",
+        "hypothesis A-\u00b2 prior 0.1\n",
     ]
     for text in broken:
         with pytest.raises(ParseError) as exc_info:
             parse_document(text)
-        span = exc_info.value.span
-        lines = text.splitlines()
-        assert 1 <= span.line <= len(lines)
-        line = lines[span.line - 1]
-        assert 1 <= span.column <= len(line)
-        assert span.column + span.length - 1 <= len(line)
+        _assert_inside(exc_info.value.span, text)
+
+
+def _assert_inside(span, text):
+    lines = text.splitlines()
+    assert 1 <= span.line <= len(lines)
+    line = lines[span.line - 1]
+    assert 1 <= span.column <= len(line)
+    assert span.column + span.length - 1 <= len(line)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(["", "hypothesis ", "rule ", "fact ", "utility joint when "]), st.text())
+def test_any_text_parses_or_fails_inside_its_line(statement, text):
+    try:
+        parse_document(statement + text)
+    except ParseError as exc:
+        _assert_inside(exc.span, statement + text)
+
+
+@pytest.mark.parametrize(
+    "text, column, character",
+    [
+        ("hypothesis \u2167 prior 0.1", 12, "\u2167"),  # a numeral, not a letter
+        ("hypothesis A-\u00b2 prior 0.1", 13, "-"),  # a hyphen must precede a letter
+        ("hypothesis \u00e9\u00b2-\u00bd prior 0.1", 14, "-"),
+    ],
+)
+def test_numerals_are_not_letters(text, column, character):
+    with pytest.raises(ParseError) as exc_info:
+        parse_document(text)
+    error = exc_info.value
+    assert (error.span.line, error.span.column, error.span.length) == (1, column, 1)
+    assert error.message == f"unexpected character {character!r}"
 
 
 def test_fact_formula_grammar():
@@ -239,11 +271,13 @@ def _literals(names):
 
 @st.composite
 def _bundles(draw):
-    names = [f"H{k}" for k in range(draw(st.integers(1, 4)))]
+    # non-ASCII letters, a leading '_' and inner hyphens exercise the identifier rule
+    pool = ["H0", "H1", "\u00e9", "_h", "h-\u01c5", "Stra\u00dfe-\u00e42", "x\u00b2"]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     priors = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-05, 5e-324, 1e-100]))
     values = st.floats(allow_nan=False, allow_infinity=False)
     targets = draw(st.lists(st.sampled_from(names), unique=True))
-    treatments = [TreatmentAction(f"fix-{name}", name) for name in targets]
+    treatments = [TreatmentAction(f"Fix{name}", name) for name in targets]
     joints = []
     if treatments:
         joint = st.builds(
@@ -308,6 +342,45 @@ def test_numbers_past_the_float_range_round_trip():
         serialize_bundle(replace(bundle, model=nan_prior))
 
 
+_NAMED = Document(
+    hypotheses=[Hypothesis("A", 0.1)],
+    observables=[ObservableVar("E")],
+    rules=[CausalRule(("A",), "E")],
+    treatments=[TreatmentAction("FixA", "A")],
+)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # read back without error as FixA targeting B
+        {"treatments": [TreatmentAction("FixA targets B #", "A")]},
+        {"treatments": [TreatmentAction("FixA", "A#")]},
+        {"facts": [Atom("A#x")]},  # read back as fact A
+        {"facts": [Atom("true")]},
+        {"hypotheses": [Hypothesis("a b", 0.1)]},
+        {"hypotheses": [Hypothesis("true", 0.1)]},
+        {"hypotheses": [Hypothesis("1A", 0.1)]},
+        {"hypotheses": [Hypothesis("", 0.1)]},
+        {"observables": [ObservableVar(" E")]},
+        {"rules": [CausalRule(("A", "false"), "E")]},
+        {"rules": [CausalRule(("A",), "E-\u00b2")]},
+        {"observations": [("!E", True)]},
+        {"additive": [("Fix-_A", AdditiveEntry(1, 0, 0, 0))]},
+        {"joints": [JointEntry((("A", True),), (("FixA&", False),), 1.0)]},
+        # 'utility joint' opens a joint utility line
+        {
+            "treatments": [TreatmentAction("joint", "A")],
+            "additive": [("joint", AdditiveEntry(1, 0, 0, 0))],
+        },
+    ],
+)
+def test_serializer_refuses_names_that_do_not_read_back(changes):
+    bundle = assemble_bundle([replace(_NAMED, **changes)])
+    with pytest.raises(ValueError, match="cannot be written as .fdl"):
+        serialize_bundle(bundle)
+
+
 def _bundle_with_fact(fact):
     document = Document(
         hypotheses=[Hypothesis("A", 0.1)],
@@ -357,6 +430,8 @@ def test_comments_and_blank_lines_ignored():
 def test_hyphenated_identifiers_survive():
     doc = parse_document("hypothesis pump-stuck prior 0.2\n")
     assert doc.hypotheses[0].id == "pump-stuck"
+    for name in ("_h", "\u00e9\u00b2", "h-\u01c5", "a_-b", "x1-y2-z"):
+        assert parse_document(f"hypothesis {name} prior 0.2\n").hypotheses[0].id == name
 
 
 @pytest.mark.parametrize(
