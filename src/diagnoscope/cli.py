@@ -248,6 +248,12 @@ def _print(text: str) -> int:
     return 0
 
 
+def _print_json(payload: object) -> int:
+    """Print ``payload`` as indented JSON. Every payload is a tree that this
+    module builds, so the encoder skips its check for cycles."""
+    return _print(json.dumps(payload, indent=2, check_circular=False))
+
+
 # ---------------------------------------------------------------------------
 # interpretations
 
@@ -268,7 +274,7 @@ def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int
                 "posteriors": [round(posterior, 4) for posterior in table.posteriors],
             },
         }
-        return _print(json.dumps(payload, indent=2))
+        return _print_json(payload)
     rows = [["index", "interpretation", "posterior"]]
     for index, (text, posterior) in enumerate(zip(_row_texts(model), table.posteriors)):
         rows.append([str(index), text, f"{posterior:.4f}"])
@@ -392,7 +398,7 @@ def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) 
                 "treatment": _treatment_payload(report.treatment),
                 "rounded": {"evidence_probability": round(evidence, 4)},
             }
-            return _print(json.dumps(payload, indent=2))
+            return _print_json(payload)
         return _print(_render_report(model, report, evidence))
     rank = _RANKERS[Strategy(args.strategy)]
     ranking = rank(query)
@@ -400,7 +406,7 @@ def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) 
         payload = _ranking_payload(model, ranking)
         payload["evidence_probability"] = evidence
         payload["rounded"]["evidence_probability"] = round(evidence, 4)
-        return _print(json.dumps(payload, indent=2))
+        return _print_json(payload)
     return _print(_render_ranking(model, ranking, evidence))
 
 
@@ -436,7 +442,7 @@ def _cmd_treat(
         bundle.model, observations, bundle.utility, bundle.treatments
     )
     if args.fmt == "json":
-        return _print(json.dumps(_treatment_payload(decision), indent=2))
+        return _print_json(_treatment_payload(decision))
     lines = [
         "chosen: " + _braced(sorted(decision.chosen)),
         f"expected utility: {_dollars(decision.expected_utility)}",
@@ -470,7 +476,7 @@ def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
                 "cumulative": [round(cum, 4) for cum in cumulative],
             },
         }
-        return _print(json.dumps(payload, indent=2))
+        return _print_json(payload)
     lines = [
         f"evidence probability: {table.evidence_probability:.6f}",
         f"mass: {args.mass}",

@@ -12,11 +12,15 @@ ignored):
     utility <treatment-id> treat-faulty <v> treat-ok <v> skip-faulty <v> skip-ok <v>
     utility joint when <lit> (& <lit>)* given <lit> (& <lit>)* value <v>
 
-Joint-utility literals accept ``!`` on hypothesis ids (fault absent) and on
-treatment ids (treatment not chosen). An identifier starts with a letter or
-``_``, continues with letters, digits and ``_``, and may contain a ``-``
-only before a letter (``treat-faulty`` is one token); ``true`` and
-``false`` are reserved. Numbers are plain decimals (``-2.5``, ``0.00001``), without
+Lines end at LF, CR LF or CR; the other Unicode line separators (form
+feed, U+2028, ...) are whitespace. After ``utility joint`` the next word
+decides the form: ``treat-faulty`` opens the additive line of a treatment
+named ``joint``, anything else a joint line. Joint-utility literals accept
+``!`` on hypothesis ids (fault absent) and on treatment ids (treatment not
+chosen). An identifier starts with a letter or ``_``, continues with
+letters, digits and ``_``, and may contain a ``-`` only before a letter
+(``treat-faulty`` is one token); ``true`` and ``false`` are reserved.
+Numbers are plain decimals (``-2.5``, ``0.00001``), without
 exponent notation. Parsing stops at the first syntax error; semantic
 problems (priors out of range, unknown ids, contradictory observations,
 ...) are collected as validation findings on the parsed bundle instead.
@@ -25,7 +29,7 @@ problems (priors out of range, unknown ids, contradictory observations,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 from .errors import DiagnoscopeError
@@ -44,16 +48,6 @@ from .model import (
     validate_decision_inputs,
     validate_model,
     validate_observations,
-)
-
-_STATEMENT_KEYWORDS = (
-    "hypothesis",
-    "observable",
-    "rule",
-    "fact",
-    "observe",
-    "treatment",
-    "utility",
 )
 
 RESERVED_WORDS = frozenset({"true", "false"})
@@ -149,8 +143,11 @@ class _Cursor:
         self.pos += 1
         return token
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def at(self, kind: str | None = None, text: str | None = None) -> bool:
+        """Whether a next token exists, of ``kind`` and reading ``text``
+        where they are given."""
+        token = self.peek()
+        return token is not None and kind in (None, token.kind) and text in (None, token.text)
 
     def fail(self, what: str, expected: tuple[str, ...]) -> ParseError:
         token = self.peek()
@@ -174,8 +171,7 @@ class _Cursor:
     def expect(self, kind: str, what: str, text: str | None = None) -> Token:
         """Consume the next token if it is of ``kind`` (and reads ``text``,
         when given); otherwise fail, naming ``what`` (quoted for a literal)."""
-        token = self.peek()
-        if token is None or token.kind != kind or text not in (None, token.text):
+        if not self.at(kind, text):
             raise self.fail(what, (what.strip("'"),))
         return self.advance()
 
@@ -188,12 +184,10 @@ class _Cursor:
         return token
 
     def expect_end(self) -> None:
-        token = self.peek()
-        if token is not None:
+        if self.at():
+            token = self.peek()
             raise ParseError(
-                token.span,
-                f"unexpected token '{token.text}' after statement",
-                ("end of line",),
+                token.span, f"unexpected token '{token.text}' after statement", ("end of line",)
             )
 
 
@@ -225,17 +219,15 @@ class ParsedBundle:
 def parse_document(text: str) -> Document:
     """Parse one source text; raises ParseError at the first syntax error."""
     doc = Document()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        if not tokens:
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        cursor = _Cursor(_tokenize_line(raw, line_no))
+        if not cursor.at():
             continue
-        head = tokens[0]
-        if head.kind != "ident" or head.text not in _STATEMENT_KEYWORDS:
+        head = cursor.advance()
+        if head.text not in _STATEMENT_PARSERS:  # keywords are identifiers
             raise ParseError(
-                head.span, f"unknown keyword '{head.text}'", _STATEMENT_KEYWORDS
+                head.span, f"unknown keyword '{head.text}'", tuple(_STATEMENT_PARSERS)
             )
-        cursor = _Cursor(tokens)
-        cursor.advance()
         _STATEMENT_PARSERS[head.text](cursor, doc)
     return doc
 
@@ -250,25 +242,22 @@ def _parse_hypothesis(cursor: _Cursor, doc: Document) -> None:
 
 def _parse_observable(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("observable identifier")
-    free = False
-    if not cursor.at_end():
+    free = cursor.at()
+    if free:
         cursor.expect("ident", "'free'", "free")
-        free = True
-        cursor.expect_end()
+    cursor.expect_end()
     doc.observables.append(ObservableVar(name.text, free))
 
 
 def _parse_rule(cursor: _Cursor, doc: Document) -> None:
     body: list[str] = []
-    token = cursor.peek()
-    if token is not None and token.kind == "ident" and token.text == "true":
+    if cursor.at("ident", "true"):
         cursor.advance()
     else:
         body.append(cursor.expect_name("hypothesis identifier").text)
-        while not cursor.at_end() and cursor.peek().kind == "&":
+        while cursor.at("&"):
             amp = cursor.advance()
-            nxt = cursor.peek()
-            if nxt is None or nxt.kind != "ident" or nxt.text in RESERVED_WORDS:
+            if not cursor.at("ident") or cursor.peek().text in RESERVED_WORDS:
                 raise ParseError(
                     amp.span, "dangling '&' in rule body", ("hypothesis identifier",)
                 )
@@ -300,7 +289,7 @@ def _parse_treatment(cursor: _Cursor, doc: Document) -> None:
 
 
 def _parse_literal(cursor: _Cursor, what: str) -> tuple[str, bool]:
-    negated = not cursor.at_end() and cursor.peek().kind == "!"
+    negated = cursor.at("!")
     if negated:
         cursor.advance()
     return cursor.expect_name(what).text, not negated
@@ -308,16 +297,15 @@ def _parse_literal(cursor: _Cursor, what: str) -> tuple[str, bool]:
 
 def _parse_literal_list(cursor: _Cursor, what: str) -> tuple[tuple[str, bool], ...]:
     literals = [_parse_literal(cursor, what)]
-    while not cursor.at_end() and cursor.peek().kind == "&":
+    while cursor.at("&"):
         cursor.advance()
         literals.append(_parse_literal(cursor, what))
     return tuple(literals)
 
 
 def _parse_utility(cursor: _Cursor, doc: Document) -> None:
-    token = cursor.peek()
-    if token is not None and token.kind == "ident" and token.text == "joint":
-        cursor.advance()
+    name = cursor.expect_name("treatment identifier")
+    if name.text == "joint" and not cursor.at("ident", _ADDITIVE_LABELS[0]):
         cursor.expect("ident", "'when'", "when")
         when = _parse_literal_list(cursor, "hypothesis literal")
         cursor.expect("ident", "'given'", "given")
@@ -327,7 +315,6 @@ def _parse_utility(cursor: _Cursor, doc: Document) -> None:
         cursor.expect_end()
         doc.joints.append(JointEntry(when, given, value))
         return
-    name = cursor.expect_name("treatment identifier")
     values: list[float] = []
     for label in _ADDITIVE_LABELS:
         cursor.expect("ident", f"'{label}'", label)
@@ -354,7 +341,7 @@ def _parse_formula(cursor: _Cursor, level: int = 0) -> Formula:
     connective = CONNECTIVES[level]
     depth = cursor.depth
     operands = [_parse_formula(cursor, level + 1)]
-    while not cursor.at_end() and cursor.peek().kind == connective.spelling:
+    while cursor.at(connective.spelling):
         if connective.nary:
             cursor.advance()
         else:
@@ -494,8 +481,8 @@ def serialize_bundle(bundle: ParsedBundle) -> str:
     normal form: nested conjunctions and disjunctions read back flattened,
     so a fact ``And((And((A, A)), A))`` returns as ``And((A, A, A))``.
     Raises ValueError for what would not read back: a name that is not one
-    non-reserved identifier, the additive utility of a treatment named
-    ``joint``, a fact nested deeper than MAX_FORMULA_DEPTH levels, a NaN.
+    non-reserved identifier, a fact nested deeper than MAX_FORMULA_DEPTH
+    levels, a NaN.
     """
     lines: list[str] = []
     for hypothesis in bundle.model.hypotheses:
@@ -517,15 +504,9 @@ def serialize_bundle(bundle: ParsedBundle) -> str:
         lines.append(f"treatment {_name(treatment.id)} targets {_name(treatment.target)}")
     if bundle.utility is not None:
         for tid, entry in bundle.utility.additive.items():
-            if tid == "joint":  # 'utility joint' opens a joint utility line
-                raise ValueError("utility of treatment 'joint' cannot be written as .fdl")
-            lines.append(
-                f"utility {_name(tid)}"
-                f" treat-faulty {_format_number(entry.treat_faulty)}"
-                f" treat-ok {_format_number(entry.treat_ok)}"
-                f" skip-faulty {_format_number(entry.skip_faulty)}"
-                f" skip-ok {_format_number(entry.skip_ok)}"
-            )
+            values = map(_format_number, astuple(entry))
+            fields = " ".join(f"{label} {value}" for label, value in zip(_ADDITIVE_LABELS, values))
+            lines.append(f"utility {_name(tid)} {fields}")
         for joint in bundle.utility.joint_entries:
             lines.append(
                 f"utility joint when {_format_literals(joint.when)}"

@@ -8,12 +8,15 @@ over the priors in declaration order, or an exact 0.0 outside the facts-
 and-observations mask, normalized by the evidence probability. A row is
 its index into ``posteriors``: marginals read them through row masks, and
 the most likely interpretations and covering-mass sets are row indices.
-``model.interpretation_at`` decodes one row.
+``model.interpretation_at`` decodes one row. Sums of probabilities (the
+evidence, every marginal) are correctly rounded (``math.fsum``), so they do
+not depend on the order of the rows or on the interpreter's ``sum``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -99,7 +102,7 @@ def _build_table(query: Query) -> PosteriorTable:
         p = hypothesis.prior
         weights = [x * f for x in weights for f in (p, 1.0 - p)]
     weights = [weight if keep else 0.0 for weight, keep in zip(weights, possible)]
-    evidence = sum(weights)
+    evidence = math.fsum(weights)
     if evidence == 0.0:
         raise ZeroProbabilityObservationError("observation has zero probability")
     posteriors = tuple(weight / evidence for weight in weights)
@@ -112,11 +115,11 @@ def posterior_table(model: FaultModel, observations: ObservationSet) -> Posterio
 
 
 def marginal(table: PosteriorTable, formula: Formula) -> float:
-    """Posterior probability of an arbitrary formula: the sum over the rows
-    satisfying it (observables expanded through their definitions), in
-    index order."""
+    """Posterior probability of an arbitrary formula: the correctly rounded
+    sum over the rows satisfying it (observables expanded through their
+    definitions)."""
     selected = _selectors(_rows(table.theory, formula), len(table.posteriors))
-    return sum(itertools.compress(table.posteriors, selected), 0.0)
+    return math.fsum(itertools.compress(table.posteriors, selected))
 
 
 def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -> float:

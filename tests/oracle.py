@@ -8,6 +8,7 @@ enumeration, or scoring code paths. Shared with several test modules.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from diagnoscope.formulas import And, Atom, Const, Formula, Iff, Implies, Not, Or
@@ -75,7 +76,8 @@ def possible(
 def posterior_rows(
     model: FaultModel, observations: tuple[tuple[str, bool], ...]
 ) -> tuple[list[float], float]:
-    """(posteriors in index order, evidence probability) by direct summation."""
+    """(posteriors in index order, evidence probability) by direct,
+    correctly rounded summation."""
     ids = tuple(h.id for h in model.hypotheses)
     priors = {h.id: h.prior for h in model.hypotheses}
     weights = []
@@ -85,7 +87,7 @@ def posterior_rows(
         for name in ids:
             weight *= priors[name] if assignment[name] else 1.0 - priors[name]
         weights.append(weight if possible(model, assignment, observations) else 0.0)
-    evidence = sum(weights)
+    evidence = math.fsum(weights)
     return [w / evidence for w in weights], evidence
 
 
@@ -97,7 +99,7 @@ def formula_marginal(
     ids = tuple(h.id for h in model.hypotheses)
     rules = rules_of(model)
     rows, _ = posterior_rows(model, observations)
-    return sum(
+    return math.fsum(
         row
         for index, row in enumerate(rows)
         if eval_formula(formula, assignment_for_index(ids, index), rules)
@@ -267,8 +269,8 @@ def fault_set_mass(
     model: FaultModel, rows: list[float], fault_set: frozenset[str]
 ) -> float:
     """Posterior mass of the rows that make every member of ``fault_set``
-    faulty, summed in index order."""
-    return sum(
+    faulty, correctly rounded."""
+    return math.fsum(
         row
         for row, faulty in zip(rows, fault_sets_by_index(model))
         if fault_set <= faulty

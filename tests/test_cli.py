@@ -216,6 +216,25 @@ def test_parse_error_in_utility_file_names_it(capsys, tmp_path):
     assert "bad_util.fdl:1:" in err
 
 
+def test_a_treatment_named_joint_takes_an_additive_utility(capsys, tmp_path):
+    # 'utility joint treat-faulty ...' is the additive line of treatment
+    # joint; it decides exactly as the same line for a treatment FixB does
+    lines = (
+        "treatment {0} targets B\n"
+        "utility {0} treat-faulty 1 treat-ok -1 skip-faulty 0 skip-ok 0\n"
+    )
+    answers = []
+    for name in ("joint", "FixB"):
+        path = tmp_path / f"{name}.fdl"
+        path.write_text(Path(CIRCUIT4).read_text() + lines.format(name))
+        assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+        code, out, err = run(capsys, "treat", str(path), "--observe", "E")
+        assert (code, err) == (0, "")
+        answers.append(out.replace(name, "T"))
+    assert answers[0] == answers[1]
+    assert answers[0].splitlines()[0] == "chosen: {T}"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/x.fdl")
     assert code == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def test_parse_error_spans_point_inside_the_text():
 
 
 def _assert_inside(span, text):
-    lines = text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
     assert 1 <= span.line <= len(lines)
     line = lines[span.line - 1]
     assert 1 <= span.column <= len(line)
@@ -132,6 +133,23 @@ def test_any_text_parses_or_fails_inside_its_line(statement, text):
         parse_document(statement + text)
     except ParseError as exc:
         _assert_inside(exc.span, statement + text)
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_line_feeds_and_carriage_returns_end_lines(separator):
+    """Other line separators are whitespace, so line numbers are an editor's."""
+    with pytest.raises(ParseError) as exc_info:
+        parse_document(f"hypothesis A prior 0.1\n{separator}\nbogus line\n")
+    assert (exc_info.value.span.line, exc_info.value.span.column) == (3, 1)
+    doc = parse_document(
+        f"hypothesis A{separator}prior 0.1  # note {separator} inside\r\n"
+        "observable E\rrule A => E\n"
+    )
+    assert doc.hypotheses == [Hypothesis("A", 0.1)]
+    assert doc.observables == [ObservableVar("E")]
+    assert doc.rules == [CausalRule(("A",), "E")]
 
 
 @pytest.mark.parametrize(
@@ -277,7 +295,10 @@ def _bundles(draw):
     priors = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-05, 5e-324, 1e-100]))
     values = st.floats(allow_nan=False, allow_infinity=False)
     targets = draw(st.lists(st.sampled_from(names), unique=True))
-    treatments = [TreatmentAction(f"Fix{name}", name) for name in targets]
+    ids = [f"Fix{name}" for name in targets]
+    if ids and draw(st.booleans()):
+        ids[0] = "joint"  # its additive line starts like a joint utility line
+    treatments = [TreatmentAction(tid, target) for tid, target in zip(ids, targets)]
     joints = []
     if treatments:
         joint = st.builds(
@@ -368,17 +389,28 @@ _NAMED = Document(
         {"observations": [("!E", True)]},
         {"additive": [("Fix-_A", AdditiveEntry(1, 0, 0, 0))]},
         {"joints": [JointEntry((("A", True),), (("FixA&", False),), 1.0)]},
-        # 'utility joint' opens a joint utility line
-        {
-            "treatments": [TreatmentAction("joint", "A")],
-            "additive": [("joint", AdditiveEntry(1, 0, 0, 0))],
-        },
     ],
 )
 def test_serializer_refuses_names_that_do_not_read_back(changes):
     bundle = assemble_bundle([replace(_NAMED, **changes)])
     with pytest.raises(ValueError, match="cannot be written as .fdl"):
         serialize_bundle(bundle)
+
+
+def test_a_treatment_named_joint_round_trips():
+    bundle = assemble_bundle([
+        replace(
+            _NAMED,
+            treatments=[TreatmentAction("joint", "A")],
+            additive=[("joint", AdditiveEntry(1.0, -1.0, 0.0, 0.0))],
+            joints=[JointEntry((("A", True),), (("joint", False),), -2.0)],
+        )
+    ])
+    assert bundle.findings == ()
+    text = serialize_bundle(bundle)
+    assert "utility joint treat-faulty 1.0 treat-ok -1.0 skip-faulty 0.0 skip-ok 0.0\n" in text
+    assert "utility joint when A given !joint value -2.0\n" in text
+    assert parse_model_file(text) == bundle
 
 
 def _bundle_with_fact(fact):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -66,6 +67,19 @@ def test_posterior_table_reproduces_worked_example(circuit4, observe_current):
     # impossible rows carry an exact zero
     for index in range(11, 16):
         assert table.posteriors[index] == 0.0
+
+
+def test_evidence_is_the_correctly_rounded_sum_of_the_live_rows(circuit4, observe_current):
+    # The built-in sum of these priors reads 0.03912399999999999 before
+    # CPython 3.12 and 0.039124 from it on; math.fsum reads 0.039124 on both.
+    table = posterior_table(circuit4, observe_current)
+    live = [
+        joint_prior(circuit4, interpretation)
+        for index, interpretation in enumerate_interpretations(circuit4)
+        if table.posteriors[index] > 0.0
+    ]
+    assert len(live) == 11
+    assert table.evidence_probability == math.fsum(live) == 0.039124
 
 
 def test_posterior_table_empty_observations(circuit4):
