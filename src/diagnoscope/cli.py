@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 domain errors (validation findings, impossible
 observations, ...), 2 usage, file or parse errors. Results go to stdout,
 diagnostics to stderr; output is byte-identical across runs on identical
 inputs. Tables round probabilities to 4 decimals; ``--format json`` adds
-full-precision values alongside the rounded ones.
+full-precision values alongside the rounded ones, and is written exactly
+as ``json.dumps(payload, indent=2)`` spells it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
+import math
 import sys
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
@@ -30,7 +33,6 @@ from .model import (
     Interpretation,
     ObservationSet,
     _each_row,
-    _row_values,
     interpretation_at,
 )
 from .probability import PosteriorTable, Query, covering_mass_set
@@ -90,11 +92,15 @@ _PARSER = build_parser()
 
 
 def run_cli(argv: list[str]) -> int:
-    """Answer one query. A query builds thousands of short-lived objects
-    (one per printed row), so the cyclic collector is paused while it runs
+    """Answer one query: the answer goes to stdout, diagnostics to stderr,
+    and the exit code is returned. Every check runs before the first byte
+    of the answer is written, so a query that fails writes nothing to
+    stdout; a JSON answer is then written in chunks (``_print_json``).
+    Rankings still build thousands of short-lived objects (one candidate
+    per MPE row), so the cyclic collector is paused while a query runs
     and its youngest generation collected once when it returns: every
     query pays the same small collection instead of a varying number of
-    passes over its own live rows."""
+    passes over its own live objects."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -248,10 +254,163 @@ def _print(text: str) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# JSON
+
+
+class _Rows:
+    """A row-sized list in a JSON payload, which ``_print_json`` writes
+    without building it: ``items(newline)`` yields the text of each item,
+    given the newline and indent that come before it."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: Callable[[str], Iterator[str]]):
+        self.items = items
+
+
+# Items of a _Rows written to stdout in one call.
+_ROWS_PER_WRITE = 4096
+
+
 def _print_json(payload: object) -> int:
-    """Print ``payload`` as indented JSON. Every payload is a tree that this
-    module builds, so the encoder skips its check for cycles."""
-    return _print(json.dumps(payload, indent=2, check_circular=False))
+    """Print ``payload`` exactly as ``print(json.dumps(payload, indent=2))``
+    would, each ``_Rows`` as the list it stands for. Dict keys are strings.
+    The text goes to stdout in chunks, so it is never built as one string:
+    the rows a few thousand at a time, the small parts around them as a
+    row-sized list is reached and at the end."""
+    write = sys.stdout.write
+    parts: list[str] = []
+    _encode(payload, "\n", parts, write)
+    parts.append("\n")
+    write("".join(parts))
+    return 0
+
+
+def _encode(value: object, newline: str, parts: list[str], write: Callable[[str], object]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` is the newline
+    and indent of its own lines. The scalars are spelled by the json
+    module's own rules, checked in its order."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, parts, write)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _encode(item, inner, parts, write)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, _Rows):
+        inner = newline + "  "
+        items = value.items(inner)
+        first = next(items, None)
+        if first is None:
+            parts.append("[]")
+            return
+        parts.append("[" + inner + first)
+        write("".join(parts))
+        parts.clear()
+        separator = "," + inner
+        while batch := list(itertools.islice(items, _ROWS_PER_WRITE)):
+            write(separator + separator.join(batch))
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    """A float as json spells it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _numbers(values: Iterable[float]) -> _Rows:
+    """A row-sized list of floats."""
+    return _Rows(lambda newline: map(_float_text, values))
+
+
+def _entry_items(model: FaultModel, posteriors: Sequence[float], newline: str) -> Iterator[str]:
+    """The interpretation entries, one dict per row, each from one template.
+    Every hypothesis has one assignment line per value, and a row's
+    assignment is its lines in the order that _each_row gives them."""
+    field = newline + "  "
+    line = field + "  "
+    choices = [
+        (f"{line}{key}: true", f"{line}{key}: false")
+        for key in map(encode_basestring_ascii, model.hypothesis_ids)
+    ]
+    # With no hypotheses the one row's assignment is "{}" and its text "".
+    assignment = "{%s" + field + "}" if choices else "{}%s"
+    template = (
+        "{" + field + '"index": %d,' + field + '"assignment": ' + assignment + ","
+        + field + '"posterior": %s' + newline + "}"
+    )
+    rows = zip(_each_row(model, choices), posteriors)
+    return (
+        template % (index, ",".join(row), _float_text(posterior))
+        for index, (row, posterior) in enumerate(rows)
+    )
+
+
+def _fault_set_items(model: FaultModel, candidates: Iterable[Candidate], newline: str) -> Iterator[str]:
+    """The fault set of each MPE candidate as a JSON list, from its row
+    index. Every hypothesis has one line where it is faulty and none where
+    it is normal; a row's text is looked up in two tables of half-row
+    texts, in the itertools.product order of _each_row, one for the first
+    hypotheses (the high bits of the index) and one for the rest."""
+    line = newline + "  "
+    choices = [("," + line + key, "") for key in map(encode_basestring_ascii, model.hypothesis_ids)]
+    low = len(choices) // 2
+    high_texts = ["".join(row) for row in itertools.product(*choices[: len(choices) - low])]
+    low_texts = ["".join(row) for row in itertools.product(*choices[len(choices) - low :])]
+    mask = (1 << low) - 1
+    for candidate in candidates:
+        text = high_texts[candidate.index >> low] + low_texts[candidate.index & mask]
+        # text[1:] drops the comma before the first name.
+        yield "[" + text[1:] + newline + "]" if text else "[]"
+
+
+def _cover_items(
+    prefix: list[int], posteriors: list[float], cumulative: list[float], newline: str
+) -> Iterator[str]:
+    """The cover entries, one dict per row, each from one template."""
+    field = newline + "  "
+    template = (
+        "{" + field + '"index": %d,' + field + '"posterior": %s,'
+        + field + '"cumulative": %s' + newline + "}"
+    )
+    return (
+        template % (index, _float_text(posterior), _float_text(cum))
+        for index, posterior, cum in zip(prefix, posteriors, cumulative)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +420,13 @@ def _print_json(payload: object) -> int:
 def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int:
     model = table.theory.model
     if args.fmt == "json":
-        ids = model.hypothesis_ids
-        rows = zip(_row_values(model), table.posteriors)
+        posteriors = table.posteriors
         payload = {
             "evidence_probability": table.evidence_probability,
-            "entries": [
-                {"index": index, "assignment": dict(zip(ids, values)), "posterior": posterior}
-                for index, (values, posterior) in enumerate(rows)
-            ],
+            "entries": _Rows(partial(_entry_items, model, posteriors)),
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": [round(posterior, 4) for posterior in table.posteriors],
+                "posteriors": _numbers(round(posterior, 4) for posterior in posteriors),
             },
         }
         return _print_json(payload)
@@ -297,25 +452,30 @@ def _candidate_text(model: FaultModel, ranking: RankedDiagnoses) -> Callable[[Ca
 
 
 def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
+    """A ranking as JSON. The MPE ranking has one candidate per table row,
+    so its fault sets are written from their row indices."""
+    candidates = ranking.candidates
+    mpe = ranking.strategy is Strategy.MPE
+
+    def fault_sets(ranked: tuple[Candidate, ...]) -> list | _Rows:
+        if mpe:
+            return _Rows(partial(_fault_set_items, model, ranked))
+        return [_fault_set_list(model, candidate.fault_set) for candidate in ranked]
+
     payload: dict = {
         "strategy": ranking.strategy.value,
-        "candidates": [
-            _fault_set_list(model, candidate.fault_set)
-            for candidate in ranking.candidates
-        ],
-        "scores": [candidate.score for candidate in ranking.candidates],
+        "candidates": fault_sets(candidates),
+        "scores": _numbers(candidate.score for candidate in candidates),
         "leader": (
             _fault_set_list(model, ranking.leader.fault_set)
             if ranking.leader is not None
             else None
         ),
-        "ties": [_fault_set_list(model, candidate.fault_set) for candidate in ranking.ties],
-        "rounded": {
-            "scores": [round(candidate.score, 4) for candidate in ranking.candidates]
-        },
+        "ties": fault_sets(ranking.ties),
+        "rounded": {"scores": _numbers(round(candidate.score, 4) for candidate in candidates)},
     }
-    if ranking.strategy is Strategy.MPE:
-        payload["indices"] = [candidate.index for candidate in ranking.candidates]
+    if mpe:
+        payload["indices"] = _Rows(lambda newline: (int.__repr__(c.index) for c in candidates))
     return payload
 
 
@@ -466,14 +626,11 @@ def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
         payload = {
             "mass": args.mass,
             "evidence_probability": table.evidence_probability,
-            "entries": [
-                {"index": index, "posterior": posterior, "cumulative": cum}
-                for index, posterior, cum in zip(prefix, posteriors, cumulative)
-            ],
+            "entries": _Rows(partial(_cover_items, prefix, posteriors, cumulative)),
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": [round(posterior, 4) for posterior in posteriors],
-                "cumulative": [round(cum, 4) for cum in cumulative],
+                "posteriors": _numbers(round(posterior, 4) for posterior in posteriors),
+                "cumulative": _numbers(round(cum, 4) for cum in cumulative),
             },
         }
         return _print_json(payload)

@@ -340,11 +340,15 @@ def test_repeated_runs_are_byte_identical(capsys):
         ("cover", CIRCUIT4, "--mass", "2"),
         ("check", "missing.fdl"),
         ("diagnose", CIRCUIT4, "--no-such-flag"),
+        ("interpretations", CIRCUIT4, "--observe", "E", "--format", "json"),
+        ("diagnose", CIRCUIT4, "--observe", "E", "--strategy", "mpe", "--format", "json"),
     ],
 )
 def test_query_collects_its_own_cycles(capsys, argv):
     """A query runs with the cyclic collector paused and leaves no cyclic
-    garbage behind; a collector the caller switched off stays off."""
+    garbage behind; a collector the caller switched off stays off. A JSON
+    answer builds no reference cycle at all, so it leaves none even when
+    nothing is collected."""
     gc.collect()
     run(capsys, *argv)
     assert gc.isenabled()
@@ -353,6 +357,8 @@ def test_query_collects_its_own_cycles(capsys, argv):
     try:
         run(capsys, *argv)
         assert not gc.isenabled()
+        if "json" in argv:
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
