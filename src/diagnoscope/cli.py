@@ -28,15 +28,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
-from .model import (
-    FaultModel,
-    Interpretation,
-    ObservationSet,
-    _each_row,
-    interpretation_at,
-)
+from .model import FaultModel, ObservationSet, _each_row
 from .probability import PosteriorTable, Query, covering_mass_set
-from .strategies import _RANKERS, Candidate, RankedDiagnoses, Strategy, StrategyReport, _compare
+from .strategies import (
+    _RANKERS,
+    Candidate,
+    RankedDiagnoses,
+    RowCandidates,
+    Strategy,
+    StrategyReport,
+    _compare,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,12 +97,15 @@ def run_cli(argv: list[str]) -> int:
     """Answer one query: the answer goes to stdout, diagnostics to stderr,
     and the exit code is returned. Every check runs before the first byte
     of the answer is written, so a query that fails writes nothing to
-    stdout; a JSON answer is then written in chunks (``_print_json``).
-    Rankings still build thousands of short-lived objects (one candidate
-    per MPE row), so the cyclic collector is paused while a query runs
-    and its youngest generation collected once when it returns: every
-    query pays the same small collection instead of a varying number of
-    passes over its own live objects."""
+    stdout; a table or JSON answer is then written in chunks of rows
+    (``_write_each``). The cyclic collector is paused while a query runs
+    and its youngest generation collected once when it returns. A query
+    allocates container objects (parsed statements, formula nodes, the
+    searches' fault sets) that live until it returns; unpaused, the
+    collector passes over them a varying number of times mid-query,
+    which costs small queries more than the one collection does. The
+    collection also frees the reference cycles argparse leaves behind
+    after a usage error or ``--help``."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -219,17 +224,32 @@ def _fault_set_text(model: FaultModel, fault_set: frozenset[str]) -> str:
     return _braced(_fault_set_list(model, fault_set))
 
 
-def _interpretation_text(interpretation: Interpretation) -> str:
-    return " ".join(
-        name if value else f"!{name}"
-        for name, value in zip(interpretation.ids, interpretation.values)
+def _row_text(choices: list[tuple[str, str]]) -> Callable[[int], str]:
+    """The text of a row from its index: per hypothesis, in declaration
+    order, the first of its ``choices`` where it is faulty and the second
+    where it is normal. The text is looked up in two tables of half-row
+    texts, in the itertools.product order of _each_row: one for the first
+    hypotheses (the high bits of the index) and one for the rest."""
+    low = len(choices) // 2
+    high_texts = ["".join(row) for row in itertools.product(*choices[: len(choices) - low])]
+    low_texts = ["".join(row) for row in itertools.product(*choices[len(choices) - low :])]
+    mask = (1 << low) - 1
+    return lambda index: high_texts[index >> low] + low_texts[index & mask]
+
+
+def _interpretation_text(model: FaultModel) -> Callable[[int], str]:
+    """A row's interpretation text from its index: ``A !B ...``."""
+    return _row_text(
+        [(f" {name}", f" !{name}") if k else (name, f"!{name}") for k, name in enumerate(model.hypothesis_ids)]
     )
 
 
-def _row_texts(model: FaultModel) -> list[str]:
-    """Every row's interpretation text (``A !B ...``), in index order."""
-    choices = [(name, f"!{name}") for name in model.hypothesis_ids]
-    return [" ".join(row) for row in _each_row(model, choices)]
+def _interpretation_width(model: FaultModel, normal: int) -> int:
+    """The length of an interpretation text with ``normal`` hypotheses
+    normal: the names, one space between each two and a ``!`` per normal
+    one. A row index has one bit set per normal hypothesis."""
+    ids = model.hypothesis_ids
+    return sum(map(len, ids)) + max(len(ids) - 1, 0) + normal
 
 
 def _dollars(value: float) -> str:
@@ -237,16 +257,24 @@ def _dollars(value: float) -> str:
     return f"-${text[1:]}" if text.startswith("-") else f"${text}"
 
 
-def _table(rows: list[list[str]], right_align: set[int]) -> list[str]:
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [
-            cell.rjust(widths[col]) if col in right_align else cell.ljust(widths[col])
-            for col, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return lines
+def _layout(columns: list[tuple[str, str, int]]) -> tuple[str, str]:
+    """The header line and the %-template of the rows of a table, each
+    column as wide as its title or its widest value and two spaces apart,
+    so that rows can be written one at a time. A column is (title,
+    conversion, width of its widest value): conversion ``-s`` is text,
+    left-aligned; ``s``, ``d`` and ``.4f`` are right-aligned. A probability
+    in [0, 1] is 6 characters wide as ``.4f``. Every table ends in a
+    right-aligned column, so no line ends in spaces."""
+    widths = [max(len(title), width) for title, _, width in columns]
+    header = "  ".join(
+        title.ljust(width) if conversion == "-s" else title.rjust(width)
+        for (title, conversion, _), width in zip(columns, widths)
+    )
+    template = "  ".join(
+        f"%-{width}s" if conversion == "-s" else f"%{width}{conversion}"
+        for (_, conversion, _), width in zip(columns, widths)
+    )
+    return header, template
 
 
 def _print(text: str) -> int:
@@ -269,8 +297,14 @@ class _Rows:
         self.items = items
 
 
-# Items of a _Rows written to stdout in one call.
+# Rows of a table or items of a _Rows written to stdout in one call.
 _ROWS_PER_WRITE = 4096
+
+
+def _write_each(write: Callable[[str], object], items: Iterator[str], separator: str) -> None:
+    """Write ``separator`` before each item, a few thousand items per write."""
+    while batch := list(itertools.islice(items, _ROWS_PER_WRITE)):
+        write(separator + separator.join(batch))
 
 
 def _print_json(payload: object) -> int:
@@ -335,9 +369,7 @@ def _encode(value: object, newline: str, parts: list[str], write: Callable[[str]
         parts.append("[" + inner + first)
         write("".join(parts))
         parts.clear()
-        separator = "," + inner
-        while batch := list(itertools.islice(items, _ROWS_PER_WRITE)):
-            write(separator + separator.join(batch))
+        _write_each(write, items, "," + inner)
         parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -380,22 +412,15 @@ def _entry_items(model: FaultModel, posteriors: Sequence[float], newline: str) -
     )
 
 
-def _fault_set_items(model: FaultModel, candidates: Iterable[Candidate], newline: str) -> Iterator[str]:
-    """The fault set of each MPE candidate as a JSON list, from its row
-    index. Every hypothesis has one line where it is faulty and none where
-    it is normal; a row's text is looked up in two tables of half-row
-    texts, in the itertools.product order of _each_row, one for the first
-    hypotheses (the high bits of the index) and one for the rest."""
+def _fault_set_items(model: FaultModel, indices: Iterable[int], newline: str) -> Iterator[str]:
+    """The fault set of each row as a JSON list, from its index: every
+    hypothesis has one line where it is faulty and none where it is normal."""
     line = newline + "  "
-    choices = [("," + line + key, "") for key in map(encode_basestring_ascii, model.hypothesis_ids)]
-    low = len(choices) // 2
-    high_texts = ["".join(row) for row in itertools.product(*choices[: len(choices) - low])]
-    low_texts = ["".join(row) for row in itertools.product(*choices[len(choices) - low :])]
-    mask = (1 << low) - 1
-    for candidate in candidates:
-        text = high_texts[candidate.index >> low] + low_texts[candidate.index & mask]
-        # text[1:] drops the comma before the first name.
-        yield "[" + text[1:] + newline + "]" if text else "[]"
+    text = _row_text([("," + line + key, "") for key in map(encode_basestring_ascii, model.hypothesis_ids)])
+    for index in indices:
+        names = text(index)
+        # names[1:] drops the comma before the first name.
+        yield "[" + names[1:] + newline + "]" if names else "[]"
 
 
 def _cover_items(
@@ -430,94 +455,110 @@ def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int
             },
         }
         return _print_json(payload)
-    rows = [["index", "interpretation", "posterior"]]
-    for index, (text, posterior) in enumerate(zip(_row_texts(model), table.posteriors)):
-        rows.append([str(index), text, f"{posterior:.4f}"])
-    lines = [f"evidence probability: {table.evidence_probability:.6f}"]
-    lines.extend(_table(rows, right_align={0, 2}))
-    return _print("\n".join(lines))
+    count = len(table.posteriors)
+    header, row = _layout(
+        [
+            ("index", "d", len(str(count - 1))),
+            ("interpretation", "-s", _interpretation_width(model, len(model.hypotheses))),
+            ("posterior", ".4f", 6),
+        ]
+    )
+    text = _interpretation_text(model)
+    rows = zip(itertools.count(), map(text, range(count)), table.posteriors)
+    write = sys.stdout.write
+    write(f"evidence probability: {table.evidence_probability:.6f}\n{header}")
+    _write_each(write, map(row.__mod__, rows), "\n")
+    write("\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 
 
-def _candidate_text(model: FaultModel, ranking: RankedDiagnoses) -> Callable[[Candidate], str]:
-    """The text of a candidate of ``ranking``: an MPE row as
-    ``[index] A !B ...``, any other candidate as its fault set."""
-    if ranking.strategy is Strategy.MPE:
-        texts = _row_texts(model)
-        return lambda candidate: f"[{candidate.index}] {texts[candidate.index]}"
-    return lambda candidate: _fault_set_text(model, candidate.fault_set)
+def _scores(candidates: Sequence[Candidate]) -> Iterable[float]:
+    """The candidates' scores; an MPE view's are read from its table."""
+    if isinstance(candidates, RowCandidates):
+        return candidates.scores()
+    return (candidate.score for candidate in candidates)
 
 
 def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
     """A ranking as JSON. The MPE ranking has one candidate per table row,
     so its fault sets are written from their row indices."""
-    candidates = ranking.candidates
-    mpe = ranking.strategy is Strategy.MPE
+    candidates, leader = ranking.candidates, ranking.leader
+    mpe = isinstance(candidates, RowCandidates)
 
-    def fault_sets(ranked: tuple[Candidate, ...]) -> list | _Rows:
-        if mpe:
-            return _Rows(partial(_fault_set_items, model, ranked))
+    def fault_sets(ranked: Sequence[Candidate]) -> list | _Rows:
+        if isinstance(ranked, RowCandidates):
+            return _Rows(partial(_fault_set_items, model, ranked.indices))
         return [_fault_set_list(model, candidate.fault_set) for candidate in ranked]
 
     payload: dict = {
         "strategy": ranking.strategy.value,
         "candidates": fault_sets(candidates),
-        "scores": _numbers(candidate.score for candidate in candidates),
-        "leader": (
-            _fault_set_list(model, ranking.leader.fault_set)
-            if ranking.leader is not None
-            else None
-        ),
+        "scores": _numbers(_scores(candidates)),
+        "leader": _fault_set_list(model, leader.fault_set) if leader is not None else None,
         "ties": fault_sets(ranking.ties),
-        "rounded": {"scores": _numbers(round(candidate.score, 4) for candidate in candidates)},
+        "rounded": {"scores": _numbers(round(score, 4) for score in _scores(candidates))},
     }
     if mpe:
-        payload["indices"] = _Rows(lambda newline: (int.__repr__(c.index) for c in candidates))
+        payload["indices"] = _Rows(lambda newline: map(int.__repr__, candidates.indices))
     return payload
 
 
-def _render_ranking(
-    model: FaultModel, ranking: RankedDiagnoses, evidence: float
-) -> str:
-    lines = [
-        f"strategy: {ranking.strategy.value}",
-        f"evidence probability: {evidence:.6f}",
-    ]
-    if not ranking.candidates:
-        lines.append("no candidates")
-        return "\n".join(lines)
-    text = _candidate_text(model, ranking)
-    rows = [["rank", "candidate", "score"]]
-    for rank, candidate in enumerate(ranking.candidates, start=1):
-        rows.append([str(rank), text(candidate), f"{candidate.score:.4f}"])
-    lines.extend(_table(rows, right_align={0, 2}))
-    lines.append(f"leader: {text(ranking.leader)}")
+def _render_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float) -> int:
+    """A ranking as a table, then its leader and, when several candidates
+    tie, the ties. An MPE row is written ``[index] A !B ...``: the last
+    row, every hypothesis normal, has the widest text and index."""
+    head = f"strategy: {ranking.strategy.value}\nevidence probability: {evidence:.6f}"
+    candidates = ranking.candidates
+    if not candidates:
+        return _print(head + "\nno candidates")
+    if isinstance(candidates, RowCandidates):
+        text = _interpretation_text(model)
+
+        def label(index: int) -> str:
+            return f"[{index}] {text(index)}"
+
+        width = len(str(len(candidates) - 1)) + 3 + _interpretation_width(model, len(model.hypotheses))
+        labels: Iterable[str] = map(label, candidates.indices)
+        leader = label(candidates.indices[0])
+        tied: Iterable[str] = map(label, ranking.ties.indices)
+    else:
+        labels = [_fault_set_text(model, candidate.fault_set) for candidate in candidates]
+        width = max(map(len, labels))
+        leader = labels[0]
+        tied = [_fault_set_text(model, candidate.fault_set) for candidate in ranking.ties]
+    header, row = _layout(
+        [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", ".4f", 6)]
+    )
+    write = sys.stdout.write
+    write(f"{head}\n{header}")
+    _write_each(write, map(row.__mod__, zip(itertools.count(1), labels, _scores(candidates))), "\n")
+    write(f"\nleader: {leader}")
     if len(ranking.ties) > 1:
-        tied = " ".join(text(c) for c in ranking.ties)
-        lines.append(f"ties: {tied}")
-    return "\n".join(lines)
+        write("\nties:")
+        _write_each(write, iter(tied), " ")
+    write("\n")
+    return 0
 
 
 def _render_report(
     model: FaultModel, report: StrategyReport, evidence: float
 ) -> str:
     lines = [f"evidence probability: {evidence:.6f}"]
-    rows = [["strategy", "leader", "score"]]
+    rows = []
     for strategy, ranking in report.rankings:
-        if ranking.leader is None:
-            rows.append([strategy.value, "(none)", "-"])
+        leader = ranking.leader
+        if leader is None:
+            rows.append((strategy.value, "(none)", "-"))
         else:
-            rows.append(
-                [
-                    strategy.value,
-                    _fault_set_text(model, ranking.leader.fault_set),
-                    f"{ranking.leader.score:.4f}",
-                ]
-            )
-    lines.extend(_table(rows, right_align={2}))
+            rows.append((strategy.value, _fault_set_text(model, leader.fault_set), f"{leader.score:.4f}"))
+    widths = [max(len(cells[k]) for cells in rows) for k in range(3)]
+    header, row = _layout(list(zip(("strategy", "leader", "score"), ("-s", "-s", "s"), widths)))
+    lines.append(header)
+    lines.extend(row % cells for cells in rows)
     if report.treatment is not None:
         label = dict(report.leaders).get("treatment", frozenset())
         lines.append(
@@ -567,7 +608,7 @@ def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) 
         payload["evidence_probability"] = evidence
         payload["rounded"]["evidence_probability"] = round(evidence, 4)
         return _print_json(payload)
-    return _print(_render_ranking(model, ranking, evidence))
+    return _render_ranking(model, ranking, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +675,20 @@ def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
             },
         }
         return _print_json(payload)
-    lines = [
-        f"evidence probability: {table.evidence_probability:.6f}",
-        f"mass: {args.mass}",
-    ]
     model = table.theory.model
-    rows = [["rank", "index", "interpretation", "posterior", "cumulative"]]
-    for rank, (index, posterior, cum) in enumerate(zip(prefix, posteriors, cumulative), start=1):
-        text = _interpretation_text(interpretation_at(model, index))
-        rows.append([str(rank), str(index), text, f"{posterior:.4f}", f"{cum:.4f}"])
-    lines.extend(_table(rows, right_align={0, 1, 3, 4}))
-    return _print("\n".join(lines))
+    header, row = _layout(
+        [
+            ("rank", "d", len(str(len(prefix)))),
+            ("index", "d", len(str(max(prefix)))),
+            ("interpretation", "-s", _interpretation_width(model, max(map(int.bit_count, prefix)))),
+            ("posterior", ".4f", 6),
+            ("cumulative", ".4f", 6),
+        ]
+    )
+    text = _interpretation_text(model)
+    rows = zip(itertools.count(1), prefix, map(text, prefix), posteriors, cumulative)
+    write = sys.stdout.write
+    write(f"evidence probability: {table.evidence_probability:.6f}\nmass: {args.mass}\n{header}")
+    _write_each(write, map(row.__mod__, rows), "\n")
+    write("\n")
+    return 0

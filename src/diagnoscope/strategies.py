@@ -26,7 +26,7 @@ registry.
 from __future__ import annotations
 
 import enum
-import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
@@ -37,7 +37,6 @@ from .model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
-    _row_values,
     index_of_assignment,
 )
 from .probability import (
@@ -68,11 +67,66 @@ class Candidate:
     index: int | None = None
 
 
+class RowCandidates(Sequence):
+    """Rows of a posterior table as a read-only sequence of candidates, in
+    the order of ``indices``. Indexing builds the one ``Candidate`` asked
+    for, its fault set decoded from the bits of the row index, so a ranking
+    of all 2^m rows holds one int per row and no other per-row object.
+
+    Two views are equal when they are over the same hypotheses and hold
+    the same rows with the same scores in the same order. Like a ``range``,
+    a view is never equal to a tuple or list."""
+
+    __slots__ = ("ids", "indices", "posteriors")
+
+    def __init__(self, ids: tuple[str, ...], indices: list[int], posteriors: tuple[float, ...]):
+        self.ids = ids
+        self.indices = indices
+        self.posteriors = posteriors
+
+    def _candidate(self, index: int) -> Candidate:
+        ids = self.ids
+        last = len(ids) - 1
+        fault_set = frozenset(name for k, name in enumerate(ids) if not index >> (last - k) & 1)
+        return Candidate(fault_set, self.posteriors[index], index)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return RowCandidates(self.ids, self.indices[position], self.posteriors)
+        return self._candidate(self.indices[position])
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(self._candidate, self.indices)
+
+    def scores(self) -> Iterator[float]:
+        """The score of each candidate, in order."""
+        return map(self.posteriors.__getitem__, self.indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RowCandidates):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.indices == other.indices
+            and (self.posteriors is other.posteriors or list(self.scores()) == list(other.scores()))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, len(self.indices)))
+
+
 @dataclass(frozen=True)
 class RankedDiagnoses:
+    """A strategy's candidates, best first, and the ties for the lead. The
+    MPE ranking's ``candidates`` and ``ties`` are ``RowCandidates`` views
+    over the rows of the posterior table; the others are tuples."""
+
     strategy: Strategy
-    candidates: tuple[Candidate, ...]
-    ties: tuple[Candidate, ...]
+    candidates: Sequence[Candidate]
+    ties: Sequence[Candidate]
 
     @property
     def leader(self) -> Candidate | None:
@@ -121,17 +175,12 @@ def _rank_posterior(query: Query) -> RankedDiagnoses:
 
 
 def _rank_mpe(query: Query) -> RankedDiagnoses:
-    model, table = query.model, query.table
-    ids = model.hypothesis_ids
-    fault_sets = [frozenset(itertools.compress(ids, values)) for values in _row_values(model)]
-
-    def candidates(indices: list[int]) -> tuple[Candidate, ...]:
-        return tuple(Candidate(fault_sets[i], table.posteriors[i], i) for i in indices)
-
+    """Every row of the table, by one sort over all of them."""
+    ids, table = query.model.hypothesis_ids, query.table
     return RankedDiagnoses(
         Strategy.MPE,
-        candidates(_by_posterior(table)),
-        candidates(most_likely_interpretations(table)),
+        RowCandidates(ids, _by_posterior(table), table.posteriors),
+        RowCandidates(ids, most_likely_interpretations(table), table.posteriors),
     )
 
 
@@ -219,8 +268,9 @@ def _compare(
             failures.append((strategy.value, str(exc)))
             continue
         rankings.append((strategy, ranking))
-        if ranking.leader is not None:
-            leaders.append((strategy.value, ranking.leader.fault_set))
+        leader = ranking.leader
+        if leader is not None:
+            leaders.append((strategy.value, leader.fault_set))
     treatment = None
     if utility is not None:
         try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -485,7 +486,7 @@ def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strate
         (("diagnose", "--strategy", "posterior"), 0),
         (("diagnose", "--strategy", "single-fault"), 0),
         (("treat", "--utility", UNIT_GAIN), 0),
-        (("cover", "--mass", "0.5"), 2),
+        (("cover", "--mass", "0.5"), 0),
         (("diagnose", "--strategy", "mpe"), 0),
         (("diagnose", "--strategy", "mpe", "--format", "json"), 0),
         (("diagnose", "--strategy", "all"), 6),
@@ -496,9 +497,9 @@ def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strate
 )
 def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, argv, built):
     """A row is its index into the posteriors: the rankers build no
-    Interpretation. The renderers that print every row decode them from
-    one walk over the rows; cover decodes only the two rows it prints.
-    Only the minimal-set searches decode their results, 3 sets each."""
+    Interpretation, and the renderers look each row's text up by its
+    index. Only the minimal-set searches decode their results, 3 sets
+    each."""
     from diagnoscope.model import Interpretation
 
     constructed = [0]
@@ -512,7 +513,7 @@ def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, arg
     code, out, _ = run(capsys, argv[0], CIRCUIT4, "--observe", "E", *argv[1:])
     assert code == 0
     if argv[0] == "cover":
-        assert len(out.splitlines()) == 3 + built
+        assert len(out.splitlines()) == 3 + 2
     assert constructed[0] == built
 
 
@@ -521,22 +522,24 @@ def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, arg
     [
         (("diagnose", "--strategy", "single-fault"), 1),
         (("diagnose", "--strategy", "posterior"), 4),
-        (("diagnose", "--strategy", "mpe"), 17),
-        (("diagnose", "--strategy", "mpe", "--format", "json"), 17),
+        (("diagnose", "--strategy", "mpe"), 0),
+        (("diagnose", "--strategy", "mpe", "--format", "json"), 1),
         (("diagnose", "--strategy", "consistency"), 3),
         (("diagnose", "--strategy", "abductive"), 3),
-        (("diagnose", "--strategy", "all"), 28),
-        (("diagnose", "--strategy", "all", "--format", "json"), 28),
+        (("diagnose", "--strategy", "all"), 13),
+        (("diagnose", "--strategy", "all", "--format", "json"), 13),
         (("interpretations",), 0),
         (("cover", "--mass", "0.5"), 0),
         (("treat", "--utility", UNIT_GAIN), 0),
     ],
 )
 def test_candidates_built_per_command(capsys, monkeypatch, argv, built):
-    """One Candidate per ranked answer, ties included: single-fault keeps
-    only its possible hypothesis, posterior scores all 4, MPE ranks the 16
-    rows and repeats its one leader as the tie, and each search returns 3
-    minimal sets. The commands that print rows build none."""
+    """One Candidate per ranked answer: single-fault keeps only its
+    possible hypothesis, posterior scores all 4 and each search returns 3
+    minimal sets. The MPE ranking is a view over the 16 rows that builds a
+    Candidate only when one is asked for: none for its table, its leader
+    for JSON, and its leader twice for the comparison (once for the
+    report, once to print it). The commands that print rows build none."""
     from diagnoscope.strategies import Candidate
 
     constructed = [0]
@@ -550,3 +553,40 @@ def test_candidates_built_per_command(capsys, monkeypatch, argv, built):
     code, _, _ = run(capsys, argv[0], CIRCUIT4, "--observe", "E", *argv[1:])
     assert code == 0
     assert constructed[0] == built
+
+
+def _seeded12(seed: int, equal_priors: bool) -> str:
+    rng = random.Random(seed)
+    names = [f"H{k}" for k in range(12)]
+    priors = ["0.5"] * 12 if equal_priors else [rng.choice(("0.05", "0.1", "0.2", "0.3")) for _ in names]
+    lines = [f"hypothesis {name} prior {prior}" for name, prior in zip(names, priors)]
+    lines += ["observable E", "observable F"]
+    lines += [f"rule {' & '.join(rng.sample(names, rng.randint(1, 2)))} => {head}" for head in "EEEFFF"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("equal_priors", [False, True])
+def test_mpe_builds_a_candidate_for_no_row(capsys, monkeypatch, tmp_path, fmt, equal_priors):
+    """On 2^12 rows the MPE answer builds no more Candidates than its ties
+    and leader, whether one row leads or every live row ties."""
+    from diagnoscope import ObservationSet, diagnose_mpe, parse_model_file
+    from diagnoscope.strategies import Candidate
+
+    text = _seeded12(12, equal_priors)
+    ties = len(diagnose_mpe(parse_model_file(text).model, ObservationSet.of("E")).ties)
+    assert (ties > 100) == equal_priors
+    path = tmp_path / "seeded12.fdl"
+    path.write_text(text)
+    constructed = [0]
+    original = Candidate.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Candidate, "__init__", counting)
+    code, out, _ = run(capsys, "diagnose", str(path), "--strategy", "mpe", "--observe", "E", "--format", fmt)
+    assert code == 0
+    assert out.count("\n") > 1 << 12
+    assert constructed[0] <= ties + 1

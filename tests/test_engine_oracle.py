@@ -174,5 +174,5 @@ def _check_rankings(model, observations, rows, consistent, explaining):
     ]
     for strategy, ranking in report.rankings:
         candidates, ties = expected[strategy.value]
-        assert [(c.fault_set, c.score, c.index) for c in ranking.candidates] == candidates
-        assert [(c.fault_set, c.score, c.index) for c in ranking.ties] == ties
+        assert [(c.fault_set, c.score, c.index) for c in tuple(ranking.candidates)] == candidates
+        assert [(c.fault_set, c.score, c.index) for c in tuple(ranking.ties)] == ties

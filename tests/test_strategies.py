@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections.abc
 import random
 
 import pytest
@@ -17,9 +18,11 @@ from diagnoscope.model import (
     TreatmentAction,
     UtilityModel,
     index_of_assignment,
+    interpretation_at,
 )
 from diagnoscope.probability import marginal, posterior_table
 from diagnoscope.strategies import (
+    RowCandidates,
     Strategy,
     compare_strategies,
     diagnose_abductive,
@@ -92,6 +95,54 @@ def test_mpe_circuit4(circuit4, observe_current):
     assert len(ranking.candidates) == 16
     scores = [c.score for c in ranking.candidates]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_mpe_candidates_are_a_view_over_the_rows(circuit4, observe_current):
+    """The MPE ranking holds row indices; each Candidate is built when it
+    is asked for, with its fault set decoded from the index bits."""
+    ranking = diagnose_mpe(circuit4, observe_current)
+    candidates = ranking.candidates
+    assert isinstance(candidates, collections.abc.Sequence)
+    assert isinstance(candidates, RowCandidates)
+    table = posterior_table(circuit4, observe_current)
+    for position, candidate in enumerate(candidates):
+        assert candidate == candidates[position] == candidates[position - len(candidates)]
+        assert candidate.fault_set == frozenset(interpretation_at(circuit4, candidate.index).true_ids())
+        assert candidate.score == table.posteriors[candidate.index]
+    assert candidates[-1] == tuple(candidates)[-1]
+    assert tuple(candidates[2:5]) == tuple(candidates)[2:5]
+    assert list(reversed(candidates)) == list(candidates)[::-1]
+    assert candidates.index(candidates[3]) == 3
+    assert list(candidates.scores()) == [c.score for c in candidates]
+    with pytest.raises(IndexError):
+        candidates[16]
+    assert tuple(ranking.ties) == (ranking.leader,)
+
+
+def test_mpe_rankings_compare_by_rows_and_scores(circuit4, observe_current):
+    """Two MPE rankings are equal when they rank the same rows of the same
+    hypotheses with equal scores; a view is never equal to a tuple."""
+    ranking = diagnose_mpe(circuit4, observe_current)
+    again = diagnose_mpe(make_circuit4(), ObservationSet.of("E"))
+    assert ranking.candidates.posteriors is not again.candidates.posteriors
+    assert ranking == again
+    assert hash(ranking) == hash(again)
+    assert ranking.candidates != tuple(ranking.candidates)
+    assert ranking.candidates[:3] == again.candidates[:3]
+    assert ranking.candidates[:3] != again.candidates[1:4]
+    view = ranking.candidates
+    halved = tuple(p / 2 for p in view.posteriors)
+    assert RowCandidates(view.ids, view.indices, halved) != view
+    assert RowCandidates(view.ids, list(view.indices), tuple(list(view.posteriors))) == view
+    # Same rows and scores, other hypotheses.
+    renamed = FaultModel(
+        tuple(Hypothesis(h.id.lower(), h.prior) for h in circuit4.hypotheses),
+        circuit4.observables,
+        tuple(CausalRule(tuple(n.lower() for n in r.body), r.head) for r in circuit4.rules),
+    )
+    other = diagnose_mpe(renamed, observe_current)
+    assert list(other.candidates.scores()) == list(ranking.candidates.scores())
+    assert other != ranking
 
 
 def test_mpe_flips_with_prior_change(observe_current):
