@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
-from .model import FaultModel, ObservationSet, _each_row
+from .model import FaultModel, ObservationSet
 from .probability import PosteriorTable, Query, covering_mass_set
 from .strategies import (
     _RANKERS,
@@ -228,8 +228,8 @@ def _row_text(choices: list[tuple[str, str]]) -> Callable[[int], str]:
     """The text of a row from its index: per hypothesis, in declaration
     order, the first of its ``choices`` where it is faulty and the second
     where it is normal. The text is looked up in two tables of half-row
-    texts, in the itertools.product order of _each_row: one for the first
-    hypotheses (the high bits of the index) and one for the rest."""
+    texts, each in itertools.product order: one for the first hypotheses
+    (the high bits of the index) and one for the rest."""
     low = len(choices) // 2
     high_texts = ["".join(row) for row in itertools.product(*choices[: len(choices) - low])]
     low_texts = ["".join(row) for row in itertools.product(*choices[len(choices) - low :])]
@@ -392,23 +392,25 @@ def _numbers(values: Iterable[float]) -> _Rows:
 def _entry_items(model: FaultModel, posteriors: Sequence[float], newline: str) -> Iterator[str]:
     """The interpretation entries, one dict per row, each from one template.
     Every hypothesis has one assignment line per value, and a row's
-    assignment is its lines in the order that _each_row gives them."""
+    assignment is looked up by its index (_row_text)."""
     field = newline + "  "
     line = field + "  "
     choices = [
         (f"{line}{key}: true", f"{line}{key}: false")
         for key in map(encode_basestring_ascii, model.hypothesis_ids)
     ]
+    # Every line after the first opens with the comma that ends the one before.
+    choices[1:] = [("," + true, "," + false) for true, false in choices[1:]]
+    assignment_text = _row_text(choices)
     # With no hypotheses the one row's assignment is "{}" and its text "".
     assignment = "{%s" + field + "}" if choices else "{}%s"
     template = (
         "{" + field + '"index": %d,' + field + '"assignment": ' + assignment + ","
         + field + '"posterior": %s' + newline + "}"
     )
-    rows = zip(_each_row(model, choices), posteriors)
     return (
-        template % (index, ",".join(row), _float_text(posterior))
-        for index, (row, posterior) in enumerate(rows)
+        template % (index, assignment_text(index), _float_text(posterior))
+        for index, posterior in enumerate(posteriors)
     )
 
 

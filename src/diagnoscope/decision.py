@@ -1,14 +1,15 @@
 """Utility-based treatment selection over the posterior table.
 
-Utility is state-based: the value of a treatment set depends on which
-hypotheses are actually faulty, not on any diagnosis object
-(``state_utility``). Expected utility is linear in the row weights, so it
-is computed from the posterior masses of each treatment's target and of
-each joint term's ``when`` pattern, read once from the table of the
-question's ``probability.Query``; the optimizer then scores all 2^l
-treatment subsets exhaustively, each in O(treatments + joint terms). For
-purely additive utilities each treatment also has a closed-form
-probability threshold above which treating beats skipping.
+Utility is state-based, not tied to any diagnosis: on each row, every
+treatment pays the additive entry for whether it is chosen and its target
+is faulty, and every joint term pays its value where its ``when`` holds
+and its ``given`` matches the set. Expected utility is linear in the row
+weights, so it is computed from the posterior masses of each treatment's
+target and of each joint term's ``when`` pattern, read once from the
+table of the question's ``probability.Query``; the optimizer then scores
+all 2^l treatment subsets exhaustively, each in O(treatments + joint
+terms). For purely additive utilities each treatment also has a
+closed-form probability threshold above which treating beats skipping.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .errors import DiagnoscopeError, NoFiniteThresholdError, SearchSpaceError
 from .model import (
     AdditiveEntry,
     FaultModel,
-    Interpretation,
     ObservationSet,
     TreatmentAction,
     UtilityModel,
     ZERO_ENTRY,
 )
-from .probability import PosteriorTable, Query, _literal_mass, posterior_table
+from .probability import PosteriorTable, Query, _literal_mass
 
 TREATMENT_CAP = 20
 
@@ -47,27 +47,6 @@ def _entry_value(entry: AdditiveEntry, treating: bool, faulty: bool) -> float:
     if treating:
         return entry.treat_faulty if faulty else entry.treat_ok
     return entry.skip_faulty if faulty else entry.skip_ok
-
-
-def state_utility(
-    interpretation: Interpretation,
-    selected: frozenset[str],
-    utility: UtilityModel,
-    treatments: tuple[TreatmentAction, ...],
-) -> float:
-    """Utility of choosing ``selected`` when ``interpretation`` is the truth."""
-    total = 0.0
-    for treatment in treatments:
-        entry = utility.additive.get(treatment.id, ZERO_ENTRY)
-        total += _entry_value(
-            entry, treatment.id in selected, interpretation.value(treatment.target)
-        )
-    for joint in utility.joint_entries:
-        if all(interpretation.value(name) == pol for name, pol in joint.when) and all(
-            (tid in selected) == pol for tid, pol in joint.given
-        ):
-            total += joint.value
-    return total
 
 
 def _utility_parts(
@@ -119,16 +98,6 @@ def _total(terms: list[float]) -> float:
         raise DiagnoscopeError("expected utility overflows the float range") from None
 
 
-def expected_utility_over_table(
-    table: PosteriorTable,
-    utility: UtilityModel,
-    treatments: tuple[TreatmentAction, ...],
-    selected: frozenset[str],
-) -> float:
-    """Expectation of state_utility under an already-built posterior table."""
-    return _total(_utility_parts(table, utility, treatments)(selected))
-
-
 def expected_utility(
     model: FaultModel,
     observations: ObservationSet,
@@ -137,8 +106,7 @@ def expected_utility(
     selected: frozenset[str],
 ) -> float:
     """Expected utility of the treatment set ``selected`` given the observations."""
-    table = posterior_table(model, observations)
-    return expected_utility_over_table(table, utility, treatments, selected)
+    return _total(_utility_parts(Query(model, observations).table, utility, treatments)(selected))
 
 
 def optimal_treatment(

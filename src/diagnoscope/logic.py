@@ -102,14 +102,6 @@ def _evaluate(
     return evaluate(formula, resolve, true)
 
 
-def evaluate_formula(
-    theory: CompletedTheory, formula: Formula, interpretation: Interpretation
-) -> bool:
-    """Evaluate ``formula`` on one row, expanding observables through their
-    definitions."""
-    return _evaluate(theory, formula, interpretation.value, True)
-
-
 def _rows(theory: CompletedTheory, formula: Formula) -> int:
     """The row mask of ``formula``: bit i is set where it holds on row i."""
     count = len(theory.model.hypotheses)
@@ -123,8 +115,11 @@ def _rows(theory: CompletedTheory, formula: Formula) -> int:
 def satisfies_observations(
     theory: CompletedTheory, interpretation: Interpretation, observations: ObservationSet
 ) -> bool:
-    """One row's test of the observations: the per-row reference of the masks."""
-    return evaluate_formula(theory, _literals(observations.literals), interpretation)
+    """One row's test of the observations. Nothing in the package calls it:
+    it stays only for the benchmark tracer, which counts its calls by name,
+    until the tracer reads the engine's own counters (the benchmarks part of
+    ROADMAP item 5)."""
+    return _evaluate(theory, _literals(observations.literals), dict(interpretation.literals()).__getitem__, True)
 
 
 def _literals(literals: Iterable[tuple[str, bool]]) -> Formula:

@@ -14,11 +14,10 @@ and index 2^m - 1 the all-normal one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from .errors import SearchSpaceError, UnknownAtomError
 from .formulas import Formula, atom_names
@@ -133,16 +132,6 @@ class Interpretation:
     def __post_init__(self) -> None:
         if len(self.ids) != len(self.values):
             raise ValueError("interpretation ids and values differ in length")
-
-    @cached_property
-    def mapping(self) -> dict[str, bool]:
-        return dict(zip(self.ids, self.values))
-
-    def value(self, name: str) -> bool:
-        try:
-            return self.mapping[name]
-        except KeyError:
-            raise UnknownAtomError(f"unknown atom '{name}'") from None
 
     def true_ids(self) -> tuple[str, ...]:
         return tuple(name for name, val in zip(self.ids, self.values) if val)
@@ -361,25 +350,3 @@ def index_of_assignment(model: FaultModel, true_ids: frozenset[str] | set[str]) 
         if name not in true_ids:
             index |= 1 << (count - 1 - k)
     return index
-
-
-def enumerate_interpretations(model: FaultModel) -> Iterator[tuple[int, Interpretation]]:
-    """Yield (index, interpretation) for all 2^m assignments, in index order;
-    refuses to enumerate more than 2^HYPOTHESIS_CAP rows."""
-    ids = model.hypothesis_ids
-    rows = enumerate(_row_values(model))
-    return ((index, Interpretation(ids, values)) for index, values in rows)
-
-
-def _row_values(model: FaultModel) -> Iterator[tuple[bool, ...]]:
-    """Every row's hypothesis values (True where faulty), in index order."""
-    return _each_row(model, [(True, False)] * len(model.hypotheses))
-
-
-def _each_row(model: FaultModel, choices: Sequence[tuple]) -> Iterator[tuple]:
-    """Every row in index order as one item per hypothesis: the first of
-    its ``choices`` pair where it is faulty, the second where it is normal.
-    That is the order of ``itertools.product``, so no index is decoded.
-    Refuses to walk more than 2^HYPOTHESIS_CAP rows."""
-    _check_hypothesis_cap(len(model.hypotheses))
-    return itertools.product(*choices)

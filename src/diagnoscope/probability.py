@@ -32,7 +32,7 @@ from .logic import (
     check_observations,
     clark_completion,
 )
-from .model import FaultModel, Interpretation, ObservationSet
+from .model import FaultModel, ObservationSet
 
 TIE_EPSILON = 1e-9
 MASS_EPSILON = 1e-9
@@ -45,14 +45,6 @@ class PosteriorTable:
     theory: CompletedTheory
     posteriors: tuple[float, ...]
     evidence_probability: float
-
-
-def joint_prior(model: FaultModel, interpretation: Interpretation) -> float:
-    """Product of per-hypothesis priors (faulty) or complements (normal)."""
-    prob = 1.0
-    for hypothesis, value in zip(model.hypotheses, interpretation.values):
-        prob *= hypothesis.prior if value else 1.0 - hypothesis.prior
-    return prob
 
 
 @dataclass(frozen=True)

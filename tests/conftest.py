@@ -29,6 +29,20 @@ def make_circuit4(prior_c: float = 0.15) -> FaultModel:
     )
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail at the first line where ``got`` and ``want`` differ. A bare
+    ``==`` on texts of thousands of lines makes pytest diff them line by
+    line, which takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    pairs = enumerate(zip(got_lines, want_lines))
+    first = next((k for k, (a, b) in pairs if a != b), min(len(got_lines), len(want_lines)))
+    pytest.fail(
+        f"line {first} of {len(want_lines)}: {got_lines[first : first + 1]!r} != {want_lines[first : first + 1]!r}"
+    )
+
+
 @pytest.fixture
 def circuit4() -> FaultModel:
     return make_circuit4()

@@ -73,11 +73,10 @@ def possible(
     )
 
 
-def posterior_rows(
-    model: FaultModel, observations: tuple[tuple[str, bool], ...]
-) -> tuple[list[float], float]:
-    """(posteriors in index order, evidence probability) by direct,
-    correctly rounded summation."""
+def prior_rows(model: FaultModel) -> list[float]:
+    """Every row's prior in index order: the product, in declaration order,
+    of each hypothesis's prior where it is faulty and its complement where
+    it is normal."""
     ids = tuple(h.id for h in model.hypotheses)
     priors = {h.id: h.prior for h in model.hypotheses}
     weights = []
@@ -86,7 +85,20 @@ def posterior_rows(
         weight = 1.0
         for name in ids:
             weight *= priors[name] if assignment[name] else 1.0 - priors[name]
-        weights.append(weight if possible(model, assignment, observations) else 0.0)
+        weights.append(weight)
+    return weights
+
+
+def posterior_rows(
+    model: FaultModel, observations: tuple[tuple[str, bool], ...]
+) -> tuple[list[float], float]:
+    """(posteriors in index order, evidence probability) by direct,
+    correctly rounded summation."""
+    ids = tuple(h.id for h in model.hypotheses)
+    weights = [
+        weight if possible(model, assignment_for_index(ids, index), observations) else 0.0
+        for index, weight in enumerate(prior_rows(model))
+    ]
     evidence = math.fsum(weights)
     return [w / evidence for w in weights], evidence
 

@@ -302,9 +302,9 @@ def test_criterion_7e_mpe_projection_invariance():
             )
             winners = most_likely_interpretations(posterior_table(extended, observations))
             assert len(winners) == 1
-            mapping = dict(interpretation_at(extended, winners[0]).mapping)
+            mapping = dict(interpretation_at(extended, winners[0]).literals())
             assert mapping.pop("EXTRA") == (prior > 0.5)
-            assert mapping == interpretation_at(model, base[0]).mapping
+            assert mapping == dict(interpretation_at(model, base[0]).literals())
             checked += 1
 
 

@@ -21,6 +21,8 @@ from diagnoscope.model import interpretation_at
 from diagnoscope.probability import Query, covering_mass_set
 from diagnoscope.strategies import _RANKERS, Strategy
 
+from .conftest import assert_same_text
+
 
 def _table(rows: list[list[str]], right_align: set[int]) -> list[str]:
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
@@ -173,11 +175,7 @@ def test_tables_match_the_reference(capsys, tmp_path, name, argv):
         assert code == 1 and out == ""
         return
     assert code == 0
-    if out != expected:
-        # The first differing line; a diff of thousands of lines is slow.
-        got, want = out.splitlines(), expected.splitlines()
-        first = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
-        pytest.fail(f"line {first} of {len(want)}: {got[first : first + 1]!r} != {want[first : first + 1]!r}")
+    assert_same_text(out, expected)
 
 
 def test_the_models_reach_the_edges():

@@ -7,12 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagnoscope import decision
 from diagnoscope.decision import (
     additive_fix_threshold,
     expected_utility,
-    expected_utility_over_table,
     optimal_treatment,
-    state_utility,
 )
 from diagnoscope.errors import (
     NoFiniteThresholdError,
@@ -30,12 +29,11 @@ from diagnoscope.model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
-    enumerate_interpretations,
 )
 from diagnoscope.probability import marginal, posterior_table
 from diagnoscope.strategies import compare_strategies
 
-from .oracle import random_formula, random_model, ruled_observables
+from .oracle import assignment_for_index, posterior_rows, random_formula, random_model, ruled_observables
 
 UNIT_GAIN = AdditiveEntry(1.0, -1.0, 0.0, 0.0)
 MISS_PENALTY = AdditiveEntry(1.0, -1.0, -10.0, 0.0)
@@ -45,16 +43,18 @@ def unit_gain_utility(treatments):
     return UtilityModel({t.id: UNIT_GAIN for t in treatments})
 
 
-def row_by_row_eu(table, utility, treatments, selected):
-    """Independent expectation: explicit per-row utility accumulation."""
+def row_by_row_eu(model, posteriors, utility, treatments, selected):
+    """Independent expectation: explicit per-row utility accumulation over
+    the posteriors of ``model``'s rows, in index order."""
+    ids = model.hypothesis_ids
     total = 0.0
-    for index, interpretation in enumerate_interpretations(table.theory.model):
-        posterior = table.posteriors[index]
+    for index, posterior in enumerate(posteriors):
         if posterior == 0.0:
             continue
+        assignment = assignment_for_index(ids, index)
         value = 0.0
         for treatment in treatments:
-            faulty = interpretation.value(treatment.target)
+            faulty = assignment[treatment.target]
             e = utility.additive.get(treatment.id, AdditiveEntry(0, 0, 0, 0))
             if treatment.id in selected:
                 value += e.treat_faulty if faulty else e.treat_ok
@@ -62,7 +62,7 @@ def row_by_row_eu(table, utility, treatments, selected):
                 value += e.skip_faulty if faulty else e.skip_ok
         for joint in utility.joint_entries:
             if all(
-                interpretation.value(name) == pol for name, pol in joint.when
+                assignment[name] == pol for name, pol in joint.when
             ) and all((tid in selected) == pol for tid, pol in joint.given):
                 value += joint.value
         total += posterior * value
@@ -74,7 +74,8 @@ def test_expected_utility_fix_b(circuit4, observe_current, gate_treatments):
     table = posterior_table(circuit4, observe_current)
     selected = frozenset({"FixB"})
     eu = expected_utility(circuit4, observe_current, utility, gate_treatments, selected)
-    assert eu == pytest.approx(row_by_row_eu(table, utility, gate_treatments, selected), abs=1e-12)
+    by_rows = row_by_row_eu(circuit4, table.posteriors, utility, gate_treatments, selected)
+    assert eu == pytest.approx(by_rows, abs=1e-12)
     # closed form: 2 p(B|E) - 1, about $0.264
     assert eu == pytest.approx(2 * marginal(table, Atom("B")) - 1, abs=1e-12)
     assert round(eu, 3) == 0.264
@@ -85,7 +86,8 @@ def test_expected_utility_is_additive(circuit4, observe_current, gate_treatments
     table = posterior_table(circuit4, observe_current)
     both = frozenset({"FixB", "FixD"})
     eu = expected_utility(circuit4, observe_current, utility, gate_treatments, both)
-    assert eu == pytest.approx(row_by_row_eu(table, utility, gate_treatments, both), abs=1e-12)
+    by_rows = row_by_row_eu(circuit4, table.posteriors, utility, gate_treatments, both)
+    assert eu == pytest.approx(by_rows, abs=1e-12)
     expected = (2 * marginal(table, Atom("B")) - 1) + (2 * marginal(table, Atom("D")) - 1)
     assert eu == pytest.approx(expected, abs=1e-12)
     assert eu < 0  # fixing d as well loses money
@@ -226,13 +228,12 @@ def test_additive_equals_joint_encoding(circuit4, observe_current, gate_treatmen
     }
     utility = UtilityModel(additive)
     encoded = joint_encoding(utility, gate_treatments)
-    table = posterior_table(circuit4, observe_current)
     for _ in range(10):
         selected = frozenset(
             t.id for t in gate_treatments if rng.random() < 0.5
         )
-        direct = expected_utility_over_table(table, utility, gate_treatments, selected)
-        via_joints = expected_utility_over_table(table, encoded, gate_treatments, selected)
+        direct = expected_utility(circuit4, observe_current, utility, gate_treatments, selected)
+        via_joints = expected_utility(circuit4, observe_current, encoded, gate_treatments, selected)
         assert direct == pytest.approx(via_joints, abs=1e-9)
 
 
@@ -265,7 +266,8 @@ def test_interacting_utility_depends_only_on_needed_probabilities(
     """With additive entries for B and C plus joint terms over A and D, the
     expected utility is a function of p(B), p(C), and the four A/D cell
     probabilities alone: shifting posterior mass while preserving those
-    leaves every treatment set's score unchanged."""
+    leaves the engine's expected utility of every treatment set unchanged,
+    and equal to the row-by-row expectation on either table."""
     utility = interaction_utility()
     table = posterior_table(circuit4, observe_current)
 
@@ -295,24 +297,36 @@ def test_interacting_utility_depends_only_on_needed_probabilities(
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             selected = frozenset(combo)
-            original = expected_utility_over_table(table, utility, gate_treatments, selected)
-            shifted = expected_utility_over_table(perturbed, utility, gate_treatments, selected)
+            engine = expected_utility(circuit4, observe_current, utility, gate_treatments, selected)
+            on_shifted = decision._total(
+                decision._utility_parts(perturbed, utility, gate_treatments)(selected)
+            )
+            assert on_shifted == pytest.approx(engine, abs=1e-12)
+            original = row_by_row_eu(circuit4, table.posteriors, utility, gate_treatments, selected)
+            shifted = row_by_row_eu(circuit4, posteriors, utility, gate_treatments, selected)
             assert shifted == pytest.approx(original, abs=1e-12)
+            assert engine == pytest.approx(shifted, abs=1e-12)
 
 
-def test_state_utility_joint_matching(circuit4, gate_treatments):
-    from diagnoscope.model import interpretation_at
-
+def test_joint_term_matching(circuit4, gate_treatments):
+    """A joint term pays where its ``when`` holds in the true state and its
+    ``given`` matches the chosen set; priors of 0 and 1 make one row true."""
     utility = UtilityModel(
         joint_entries=(
             JointEntry((("A", True),), (("FixA", True), ("FixD", False)), 5.0),
         )
     )
-    only_a = interpretation_at(circuit4, 7)
-    assert state_utility(only_a, frozenset({"FixA"}), utility, gate_treatments) == 5.0
-    assert state_utility(only_a, frozenset({"FixA", "FixD"}), utility, gate_treatments) == 0.0
-    all_normal = interpretation_at(circuit4, 15)
-    assert state_utility(all_normal, frozenset({"FixA"}), utility, gate_treatments) == 0.0
+
+    def certain(*faulty):
+        hypotheses = tuple(Hypothesis(h.id, float(h.id in faulty)) for h in circuit4.hypotheses)
+        return dataclasses.replace(circuit4, hypotheses=hypotheses)
+
+    only_a = certain("A")
+    none = ObservationSet()
+    assert expected_utility(only_a, none, utility, gate_treatments, frozenset({"FixA"})) == 5.0
+    assert expected_utility(only_a, none, utility, gate_treatments, frozenset({"FixA", "FixD"})) == 0.0
+    all_normal = certain()
+    assert expected_utility(all_normal, none, utility, gate_treatments, frozenset({"FixA"})) == 0.0
 
 
 @st.composite
@@ -370,17 +384,19 @@ def _decision_problems(draw):
 def test_treatment_search_matches_row_by_row_expectation(problem):
     model, observations, utility, treatments = problem
     try:
-        table = posterior_table(model, observations)
-    except ZeroProbabilityObservationError:
+        rows, _ = posterior_rows(model, observations.literals)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroProbabilityObservationError):
+            optimal_treatment(model, observations, utility, treatments)
         return
     ids = [t.id for t in treatments]
     exhaustive = {}
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             selected = frozenset(combo)
-            exhaustive[selected] = row_by_row_eu(table, utility, treatments, selected)
-            assert expected_utility_over_table(
-                table, utility, treatments, selected
+            exhaustive[selected] = row_by_row_eu(model, rows, utility, treatments, selected)
+            assert expected_utility(
+                model, observations, utility, treatments, selected
             ) == pytest.approx(exhaustive[selected], abs=1e-9)
     best = max(exhaustive.values())
     decision = optimal_treatment(model, observations, utility, treatments)

@@ -26,11 +26,12 @@ from diagnoscope.logic import (
     scenario_consistent,
     scenario_explains,
 )
-from diagnoscope.model import Hypothesis, ObservationSet, enumerate_interpretations
+from diagnoscope.model import Hypothesis, ObservationSet, interpretation_at
 from diagnoscope.probability import covering_mass_set, marginal, posterior_table
 from diagnoscope.strategies import Strategy, compare_strategies
 
 from .oracle import (
+    assignment_for_index,
     covering_prefix,
     explaining_fault_sets,
     fact_assignments,
@@ -105,7 +106,10 @@ def test_engine_matches_the_oracle(problem):
     else:
         table = posterior_table(model, observations)
         assert list(table.posteriors) == rows
-        assert [table.posteriors[i] for i, _ in enumerate_interpretations(model)] == rows
+        assert all(
+            dict(interpretation_at(model, i).literals()) == assignment_for_index(model.hypothesis_ids, i)
+            for i in range(len(rows))
+        )
         assert table.evidence_probability == evidence
         assert marginal(table, goal) == formula_marginal(model, literals, goal)
         prefix = covering_mass_set(table, mass)

@@ -22,7 +22,6 @@ from diagnoscope.logic import (
     abductive_explanations,
     clark_completion,
     consistency_diagnoses,
-    evaluate_formula,
     maximal_scenarios,
     scenario_consistent,
     scenario_explains,
@@ -31,26 +30,29 @@ from diagnoscope.model import (
     CausalRule,
     FaultModel,
     Hypothesis,
-    Interpretation,
     ObservableVar,
     ObservationSet,
-    enumerate_interpretations,
     interpretation_at,
 )
 from diagnoscope.probability import marginal, posterior_table
+from diagnoscope.strategies import diagnose_mpe
 
 from .oracle import (
+    assignment_for_index,
+    eval_formula,
     explaining_fault_sets,
     minimal_sets,
     random_formula,
     random_model,
+    rules_of,
     ruled_observables,
     satisfying_fault_sets,
 )
 
 
-def interp(model, **values: bool) -> Interpretation:
-    return Interpretation(model.hypothesis_ids, tuple(values[n] for n in model.hypothesis_ids))
+def row(model, index: int) -> Scenario:
+    """The scenario that asserts every hypothesis literal of one row."""
+    return Scenario(interpretation_at(model, index).literals())
 
 
 def test_completion_of_circuit4(circuit4):
@@ -82,16 +84,17 @@ def test_completion_emits_nothing_for_free_observables():
 
 def test_evaluate_expands_observables(circuit4):
     theory = clark_completion(circuit4)
-    assert evaluate_formula(theory, Atom("E"), interp(circuit4, A=True, B=False, C=False, D=False))
-    assert not evaluate_formula(theory, Atom("E"), interp(circuit4, A=False, B=True, C=False, D=False))
-    assert evaluate_formula(theory, TRUE, interpretation_at(circuit4, 5))
+    assert scenario_explains(theory, row(circuit4, 0b0111), Atom("E"))  # A faulty
+    assert not scenario_explains(theory, row(circuit4, 0b1011), Atom("E"))  # B faulty
+    assert scenario_explains(theory, row(circuit4, 5), TRUE)
 
 
 def test_evaluate_is_pure(circuit4):
     theory = clark_completion(circuit4)
     formula = Or((Atom("E"), Not(Atom("A"))))
-    row = interpretation_at(circuit4, 11)
-    assert evaluate_formula(theory, formula, row) == evaluate_formula(theory, formula, row)
+    expected = eval_formula(formula, assignment_for_index(circuit4.hypothesis_ids, 11), rules_of(circuit4))
+    first = scenario_explains(theory, row(circuit4, 11), formula)
+    assert first == scenario_explains(theory, row(circuit4, 11), formula) == expected
 
 
 def test_evaluation_leaves_no_cyclic_garbage(circuit4):
@@ -99,13 +102,14 @@ def test_evaluation_leaves_no_cyclic_garbage(circuit4):
     reference counting alone: the collector finds nothing after them."""
     theory = clark_completion(circuit4)
     formula = And((Atom("E"), Not(Atom("A"))))
-    row = interpretation_at(circuit4, 9)
+    interpretation = interpretation_at(circuit4, 9)
+    observations = ObservationSet.of("E")
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
             logic._rows(theory, formula)
-            evaluate_formula(theory, formula, row)
+            logic.satisfies_observations(theory, interpretation, observations)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -113,16 +117,15 @@ def test_evaluation_leaves_no_cyclic_garbage(circuit4):
 
 def test_evaluate_errors(circuit4):
     theory = clark_completion(circuit4)
-    row = interpretation_at(circuit4, 0)
     with pytest.raises(UnknownAtomError, match="unknown atom"):
-        evaluate_formula(theory, Atom("Z"), row)
+        scenario_explains(theory, row(circuit4, 0), Atom("Z"))
     free_model = FaultModel(
         hypotheses=circuit4.hypotheses,
         observables=circuit4.observables + (ObservableVar("F", free=True),),
         rules=circuit4.rules,
     )
     with pytest.raises(FreeObservableError):
-        evaluate_formula(clark_completion(free_model), Atom("F"), row)
+        scenario_explains(clark_completion(free_model), row(free_model, 0), Atom("F"))
 
 
 def test_an_unknown_atom_is_an_error_wherever_it_sits(circuit4, observe_current):
@@ -135,11 +138,10 @@ def test_an_unknown_atom_is_an_error_wherever_it_sits(circuit4, observe_current)
     )
     theory = clark_completion(free_model)
     table = posterior_table(free_model, observe_current)
-    row = interpretation_at(free_model, 0)
     for name, error in (("Z", UnknownAtomError), ("F", FreeObservableError)):
         for formula in (Or((TRUE, Atom(name))), And((FALSE, Atom(name)))):
             with pytest.raises(error):
-                evaluate_formula(theory, formula, row)
+                scenario_explains(theory, row(free_model, 0), formula)
             with pytest.raises(error):
                 marginal(table, formula)
             with pytest.raises(error):
@@ -154,7 +156,7 @@ WIDE_MODEL = FaultModel(
 OBSERVE_E = ObservationSet.of("E")
 ROW_QUERIES = {
     "posterior_table": lambda theory: posterior_table(theory.model, OBSERVE_E),
-    "enumerate_interpretations": lambda theory: enumerate_interpretations(theory.model),
+    "diagnose_mpe": lambda theory: diagnose_mpe(theory.model, OBSERVE_E),
     "scenario_consistent": lambda theory: scenario_consistent(
         theory, Scenario.of_faults("H0"), OBSERVE_E
     ),

@@ -17,7 +17,6 @@ from diagnoscope.model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
-    enumerate_interpretations,
     index_of_assignment,
     interpretation_at,
     validate_decision_inputs,
@@ -25,7 +24,7 @@ from diagnoscope.model import (
     validate_observations,
 )
 
-from .oracle import random_model
+from .oracle import assignment_for_index, random_model
 
 
 def test_circuit4_is_valid(circuit4):
@@ -182,7 +181,7 @@ def test_interpretation_index_convention(circuit4):
     assert not any(all_normal.values)
     # first hypothesis is the most significant bit
     only_a = interpretation_at(circuit4, 0b0111)
-    assert only_a.mapping == {"A": True, "B": False, "C": False, "D": False}
+    assert dict(only_a.literals()) == {"A": True, "B": False, "C": False, "D": False}
     assert index_of_assignment(circuit4, {"A"}) == 7
     assert index_of_assignment(circuit4, {"B", "C"}) == 9
     assert index_of_assignment(circuit4, set()) == 15
@@ -196,13 +195,8 @@ def test_index_of_assignment_rejects_unknown_names(circuit4):
             index_of_assignment(circuit4, names)
 
 
-def test_enumerate_round_trips_indices(circuit4):
-    for index, interp in enumerate_interpretations(circuit4):
-        assert interpretation_at(circuit4, index) == interp
+def test_interpretation_at_round_trips_indices(circuit4):
+    for index in range(16):
+        interp = interpretation_at(circuit4, index)
+        assert dict(interp.literals()) == assignment_for_index(circuit4.hypothesis_ids, index)
         assert index_of_assignment(circuit4, set(interp.true_ids())) == index
-
-
-def test_interpretation_value_unknown_atom(circuit4):
-    interp = interpretation_at(circuit4, 0)
-    with pytest.raises(UnknownAtomError):
-        interp.value("Z")

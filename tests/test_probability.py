@@ -13,13 +13,11 @@ from diagnoscope.model import (
     Hypothesis,
     ObservableVar,
     ObservationSet,
-    enumerate_interpretations,
     interpretation_at,
 )
 from diagnoscope.probability import (
     _literal_mass,
     covering_mass_set,
-    joint_prior,
     marginal,
     most_likely_interpretations,
     posterior_table,
@@ -29,6 +27,7 @@ from .conftest import make_circuit4
 from .oracle import (
     formula_marginal,
     posterior_rows,
+    prior_rows,
     random_formula,
     random_model,
     ruled_observables,
@@ -41,22 +40,23 @@ CIRCUIT4_POSTERIORS = [
 ]
 
 
-def test_joint_prior_hand_values(circuit4):
-    all_normal = interpretation_at(circuit4, 15)
-    assert joint_prior(circuit4, all_normal) == pytest.approx(0.677484, abs=1e-12)
-    only_a = interpretation_at(circuit4, 7)
-    assert joint_prior(circuit4, only_a) == pytest.approx(0.011016, abs=1e-12)
+def test_row_prior_hand_values(circuit4):
+    """Without observations a row's posterior is its prior."""
+    priors = posterior_table(circuit4, ObservationSet()).posteriors
+    assert priors[15] == pytest.approx(0.677484, abs=1e-12)  # all normal
+    assert priors[7] == pytest.approx(0.011016, abs=1e-12)  # only A faulty
 
 
-def test_joint_prior_degenerate_priors():
+def test_row_prior_degenerate_priors():
     model = FaultModel(
         hypotheses=(Hypothesis("A", 0.0), Hypothesis("B", 1.0)),
         observables=(ObservableVar("E"),),
         rules=(CausalRule(("A",), "E"), CausalRule(("B",), "E")),
     )
-    assert joint_prior(model, interpretation_at(model, 0)) == 0.0
+    priors = posterior_table(model, ObservationSet()).posteriors
+    assert priors[0] == 0.0
     # A normal, B faulty
-    assert joint_prior(model, interpretation_at(model, 0b10)) == 1.0
+    assert priors[0b10] == 1.0
 
 
 def test_posterior_table_reproduces_worked_example(circuit4, observe_current):
@@ -74,9 +74,7 @@ def test_evidence_is_the_correctly_rounded_sum_of_the_live_rows(circuit4, observ
     # CPython 3.12 and 0.039124 from it on; math.fsum reads 0.039124 on both.
     table = posterior_table(circuit4, observe_current)
     live = [
-        joint_prior(circuit4, interpretation)
-        for index, interpretation in enumerate_interpretations(circuit4)
-        if table.posteriors[index] > 0.0
+        prior for prior, posterior in zip(prior_rows(circuit4), table.posteriors) if posterior > 0.0
     ]
     assert len(live) == 11
     assert table.evidence_probability == math.fsum(live) == 0.039124
@@ -85,10 +83,8 @@ def test_evidence_is_the_correctly_rounded_sum_of_the_live_rows(circuit4, observ
 def test_posterior_table_empty_observations(circuit4):
     table = posterior_table(circuit4, ObservationSet())
     assert table.evidence_probability == pytest.approx(1.0, abs=1e-12)
-    for index, interpretation in enumerate_interpretations(circuit4):
-        assert table.posteriors[index] == pytest.approx(
-            joint_prior(circuit4, interpretation), abs=1e-12
-        )
+    for posterior, prior in zip(table.posteriors, prior_rows(circuit4), strict=True):
+        assert posterior == pytest.approx(prior, abs=1e-12)
 
 
 def test_posterior_table_zero_probability():
@@ -263,7 +259,7 @@ def test_mpe_ignores_added_independent_variable():
         base_winners = most_likely_interpretations(base_table)
         if len(base_winners) != 1:
             continue
-        base_mapping = interpretation_at(model, base_winners[0]).mapping
+        base_mapping = dict(interpretation_at(model, base_winners[0]).literals())
 
         prior = rng.choice([0.12, 0.31, 0.77, 0.9])
         extended = FaultModel(
@@ -274,7 +270,7 @@ def test_mpe_ignores_added_independent_variable():
         )
         winners = most_likely_interpretations(posterior_table(extended, observations))
         assert len(winners) == 1
-        mapping = interpretation_at(extended, winners[0]).mapping
+        mapping = dict(interpretation_at(extended, winners[0]).literals())
         assert mapping["IRRELEVANT"] == (prior > 0.5)
         projected = {k: v for k, v in mapping.items() if k != "IRRELEVANT"}
         assert projected == base_mapping
