@@ -24,13 +24,22 @@ Numbers are plain decimals (``-2.5``, ``0.00001``), without
 exponent notation. Parsing stops at the first syntax error; semantic
 problems (priors out of range, unknown ids, contradictory observations,
 ...) are collected as validation findings on the parsed bundle instead.
+
+How a text is read: one ``findall`` of one pattern (``_TOKEN_PATTERN``)
+splits the whole text into token strings. A line end, together with the
+comment before it, is one empty string, and so is the end of the text. A
+token's kind comes from its first character; the full rules run only for
+a word with a non-ASCII character and for a lone ``+ - < =``. One cursor
+walks the strings line by line and counts lines as it passes the empty
+ones. A token's column is worked out only for an error, by scanning that
+one line again. So a valid text makes no object per token beyond its
+string: no match object, no token record, no position.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import astuple, dataclass, field
-from typing import NamedTuple
 
 from .errors import DiagnoscopeError
 from .formulas import CONNECTIVES, FALSE, TRUE, Atom, Formula, Not, atom_names, render
@@ -61,18 +70,6 @@ MAX_FORMULA_DEPTH = 100
 
 _PUNCTUATION = ("=>", "(", ")", "!", *(c.spelling for c in CONNECTIVES))
 
-# One token after optional whitespace; punctuation longest first, so that
-# '<->' is not read as '<' followed by '->'. \d is str.isdecimal, so a
-# superscript (a digit that float() rejects) is no number.
-_TOKEN_PATTERN = re.compile(
-    r"\s*(?:(?P<end>#|$)"
-    rf"|(?P<punct>{'|'.join(map(re.escape, sorted(_PUNCTUATION, key=len, reverse=True)))})"
-    r"|(?P<number>[+-]?\d+(?:\.\d+)?)"
-    r"|(?P<ident>[^\W\d]\w*(?:-[^\W\d_]\w*)*)"
-    r"|(?P<other>.))"
-)
-_PART_START = re.compile(r"(?:^|-)(.)")  # first character of each hyphen-joined part
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -93,102 +90,165 @@ class ParseError(DiagnoscopeError):
         self.expected = tuple(expected)
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "number", or the punctuation text itself
-    text: str
-    line: int
-    column: int
+# One token after optional whitespace, other than a line end, as the one
+# group; identifiers come first, as the commonest. A line end (LF, CR LF
+# or CR) with the comment before it, and the end of the text, match with
+# the group empty, so findall gives '' for each and its list always ends
+# with ''. Punctuation comes longest first, so that '<->' is not read as
+# '<' followed by '->'. \d is str.isdecimal, so a superscript (a digit
+# that float() rejects) is no number. The group's last alternative, any
+# other character but the '#' of a comment, is an error.
+_TOKEN_PATTERN = re.compile(
+    r"[^\S\r\n]*(?:([^\W\d]\w*(?:-[^\W\d_]\w*)*"
+    r"|[+-]?\d+(?:\.\d+)?"
+    rf"|{'|'.join(map(re.escape, sorted(_PUNCTUATION, key=len, reverse=True)))}"
+    r"|[^\s#])"
+    r"|(?:#[^\r\n]*)?(?:\r\n?|\n|\Z))"
+)
+_PART_START = re.compile(r"(?:^|-)(.)")  # first character of each hyphen-joined part
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, len(self.text))
+# Token kinds that the first character decides: "ident", "number", a
+# one-character punctuation token itself, and "end" for a line end ('').
+# Any other first character, and an identifier with a non-ASCII character,
+# takes the full rules of _kind.
+_KIND_BY_FIRST = {
+    "": "end",
+    **{c: "ident" for c in map(chr, range(128)) if c.isalpha() or c == "_"},
+    **dict.fromkeys("0123456789", "number"),
+    **{p: p for p in _PUNCTUATION if len(p) == 1},
+}
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    tokens: list[Token] = []
-    for match in _TOKEN_PATTERN.finditer(text):
-        kind = match.lastgroup
-        if kind == "end":
+def _kind(token: str) -> str:
+    """The kind of one token of _TOKEN_PATTERN: "ident", "number", the
+    punctuation text itself, "end", or "other" for a token that holds a
+    character no token may hold."""
+    kind = _KIND_BY_FIRST.get(token[:1])
+    if kind is not None and (kind != "ident" or token.isascii()):
+        return kind
+    if token[0] in "+-<=":  # alone, or opening '->', '<->', '=>' or a signed number
+        return "other" if len(token) == 1 else token if token in _PUNCTUATION else "number"
+    if token[0].isdecimal():
+        return "number"
+    return "ident" if _misplaced(token) is None else "other"
+
+
+def _misplaced(word: str) -> int | None:
+    """Offset of the first character of ``word`` that no token may hold
+    where it stands, or None. [^\\W\\d] also admits numerals ('²', 'Ⅷ')
+    that str.isalpha rejects; one opening a word is misplaced, and one
+    after a hyphen makes the hyphen misplaced."""
+    for part in _PART_START.finditer(word):
+        if not (part[1].isalpha() or part[1] == "_"):
+            return part.start()
+    return None
+
+
+def _error_at(
+    text: str, line: int, index: int, message: str, expected: tuple[str, ...]
+) -> ParseError:
+    """The error ``message`` at the ``index``-th token of line ``line``, by
+    scanning that one line again: the one place where a column is worked
+    out. A line that holds a character no token may hold is an error at
+    that character instead, wherever its parse stopped."""
+    raw = _LINE_BREAK.split(text, maxsplit=line)[line - 1]
+    span = None
+    for count, match in enumerate(_TOKEN_PATTERN.finditer(raw)):
+        token = match[1]
+        if token is None:  # a comment, or the end of the line
             break
-        word, column = match[kind], match.start(kind)
-        if kind == "ident" and not word.isascii():
-            # [^\W\d] also admits numerals ('²', 'Ⅷ') that str.isalpha rejects;
-            # one opening the identifier, or following a hyphen in it, is an error
-            for part in _PART_START.finditer(word):
-                if not (part[1].isalpha() or part[1] == "_"):
-                    kind, column = "other", column + part.start()
-                    break
-        if kind == "other":
-            raise ParseError(
-                SourceSpan(line_no, column + 1, 1), f"unexpected character {text[column]!r}"
+        column = match.start(1)
+        if _kind(token) == "other":
+            column += _misplaced(token)
+            return ParseError(
+                SourceSpan(line, column + 1, 1), f"unexpected character {raw[column]!r}"
             )
-        tokens.append(Token(word if kind == "punct" else kind, word, line_no, column + 1))
-    return tokens
+        if count == index:
+            span = SourceSpan(line, column + 1, len(token))
+    return ParseError(span, message, expected)
 
 
 class _Cursor:
-    """Token stream over one line; errors point at the offending token, or
-    at the last token when the line ends too early."""
+    """The tokens of one text, walked line by line: ``pos`` is the next
+    token, which is '' at the end of a line. Errors point at the offending
+    token, or at the last token when the line ends too early."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_PATTERN.findall(text)
         self.pos = 0
+        self.start = 0  # index of the first token of the current line
+        self.line = 1
         self.depth = 0  # open '(', '!' and chain operators in the formula being parsed
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def next_line(self) -> bool:
+        """Move to the first token of the next line that has one, from the
+        start of the text or from the end of a statement; False when no
+        line is left."""
+        tokens, pos = self.tokens, self.pos
+        while not tokens[pos]:
+            pos += 1
+            if pos == len(tokens):
+                return False
+            self.line += 1
+        self.pos = self.start = pos
+        return True
 
-    def advance(self) -> Token:
+    def peek(self) -> str:
+        return self.tokens[self.pos]
+
+    def advance(self) -> str:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def at(self, kind: str | None = None, text: str | None = None) -> bool:
-        """Whether a next token exists, of ``kind`` and reading ``text``
-        where they are given."""
-        token = self.peek()
-        return token is not None and kind in (None, token.kind) and text in (None, token.text)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
+
+    def error(self, message: str, expected: tuple[str, ...] = (), back: int = 0) -> ParseError:
+        """A ParseError at the next token, or ``back`` tokens before it."""
+        return _error_at(self.text, self.line, self.pos - back - self.start, message, expected)
 
     def fail(self, what: str, expected: tuple[str, ...]) -> ParseError:
-        token = self.peek()
-        if token is None:
-            return ParseError(
-                self.tokens[-1].span, f"unexpected end of line, expected {what}", expected
-            )
-        return ParseError(
-            token.span, f"expected {what}, found '{token.text}'", expected
-        )
+        token = self.tokens[self.pos]
+        if not token:
+            return self.error(f"unexpected end of line, expected {what}", expected, back=1)
+        return self.error(f"expected {what}, found '{token}'", expected)
 
     def descend(self) -> None:
         """Consume a token that nests what follows one level deeper."""
         if self.depth == MAX_FORMULA_DEPTH:
-            raise ParseError(
-                self.peek().span, f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
-            )
-        self.advance()
+            raise self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+        self.pos += 1
         self.depth += 1
 
-    def expect(self, kind: str, what: str, text: str | None = None) -> Token:
-        """Consume the next token if it is of ``kind`` (and reads ``text``,
-        when given); otherwise fail, naming ``what`` (quoted for a literal)."""
-        if not self.at(kind, text):
-            raise self.fail(what, (what.strip("'"),))
-        return self.advance()
+    def expect(self, text: str) -> None:
+        """Consume the next token if it reads ``text``; otherwise fail."""
+        if self.tokens[self.pos] != text:
+            raise self.fail(f"'{text}'", (text,))
+        self.pos += 1
 
-    def expect_name(self, what: str) -> Token:
-        token = self.expect("ident", what)
-        if token.text in RESERVED_WORDS:
-            raise ParseError(
-                token.span, f"reserved word '{token.text}' cannot be used as {what}", (what,)
-            )
+    def expect_number(self, what: str) -> float:
+        token = self.tokens[self.pos]
+        if _kind(token) != "number":
+            raise self.fail(what, (what,))
+        self.pos += 1
+        return float(token)
+
+    def expect_name(self, what: str) -> str:
+        token = self.tokens[self.pos]
+        if _kind(token) != "ident":
+            raise self.fail(what, (what,))
+        if token in RESERVED_WORDS:
+            raise self.error(f"reserved word '{token}' cannot be used as {what}", (what,))
+        self.pos += 1
         return token
 
     def expect_end(self) -> None:
-        if self.at():
-            token = self.peek()
-            raise ParseError(
-                token.span, f"unexpected token '{token.text}' after statement", ("end of line",)
-            )
+        token = self.tokens[self.pos]
+        if token:
+            raise self.error(f"unexpected token '{token}' after statement", ("end of line",))
 
 
 @dataclass
@@ -219,53 +279,50 @@ class ParsedBundle:
 def parse_document(text: str) -> Document:
     """Parse one source text; raises ParseError at the first syntax error."""
     doc = Document()
-    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        cursor = _Cursor(_tokenize_line(raw, line_no))
-        if not cursor.at():
-            continue
-        head = cursor.advance()
-        if head.text not in _STATEMENT_PARSERS:  # keywords are identifiers
-            raise ParseError(
-                head.span, f"unknown keyword '{head.text}'", tuple(_STATEMENT_PARSERS)
-            )
-        _STATEMENT_PARSERS[head.text](cursor, doc)
+    cursor = _Cursor(text)
+    while cursor.next_line():
+        parse = _STATEMENT_PARSERS.get(cursor.peek())  # keywords are identifiers
+        if parse is None:
+            raise cursor.error(f"unknown keyword '{cursor.peek()}'", tuple(_STATEMENT_PARSERS))
+        cursor.advance()
+        parse(cursor, doc)
     return doc
 
 
 def _parse_hypothesis(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("hypothesis identifier")
-    cursor.expect("ident", "'prior'", "prior")
-    prior = float(cursor.expect("number", "prior probability").text)
+    cursor.expect("prior")
+    prior = cursor.expect_number("prior probability")
     cursor.expect_end()
-    doc.hypotheses.append(Hypothesis(name.text, prior))
+    doc.hypotheses.append(Hypothesis(name, prior))
 
 
 def _parse_observable(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("observable identifier")
-    free = cursor.at()
+    free = bool(cursor.peek())
     if free:
-        cursor.expect("ident", "'free'", "free")
+        cursor.expect("free")
     cursor.expect_end()
-    doc.observables.append(ObservableVar(name.text, free))
+    doc.observables.append(ObservableVar(name, free))
 
 
 def _parse_rule(cursor: _Cursor, doc: Document) -> None:
     body: list[str] = []
-    if cursor.at("ident", "true"):
+    if cursor.at("true"):
         cursor.advance()
     else:
-        body.append(cursor.expect_name("hypothesis identifier").text)
+        body.append(cursor.expect_name("hypothesis identifier"))
         while cursor.at("&"):
-            amp = cursor.advance()
-            if not cursor.at("ident") or cursor.peek().text in RESERVED_WORDS:
-                raise ParseError(
-                    amp.span, "dangling '&' in rule body", ("hypothesis identifier",)
+            cursor.advance()
+            if _kind(cursor.peek()) != "ident" or cursor.peek() in RESERVED_WORDS:
+                raise cursor.error(
+                    "dangling '&' in rule body", ("hypothesis identifier",), back=1
                 )
-            body.append(cursor.advance().text)
-    cursor.expect("=>", "'=>'")
+            body.append(cursor.advance())
+    cursor.expect("=>")
     head = cursor.expect_name("observable identifier")
     cursor.expect_end()
-    doc.rules.append(CausalRule(tuple(body), head.text))
+    doc.rules.append(CausalRule(tuple(body), head))
 
 
 def _parse_fact(cursor: _Cursor, doc: Document) -> None:
@@ -282,17 +339,17 @@ def _parse_observe(cursor: _Cursor, doc: Document) -> None:
 
 def _parse_treatment(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("treatment identifier")
-    cursor.expect("ident", "'targets'", "targets")
+    cursor.expect("targets")
     target = cursor.expect_name("hypothesis identifier")
     cursor.expect_end()
-    doc.treatments.append(TreatmentAction(name.text, target.text))
+    doc.treatments.append(TreatmentAction(name, target))
 
 
 def _parse_literal(cursor: _Cursor, what: str) -> tuple[str, bool]:
     negated = cursor.at("!")
     if negated:
         cursor.advance()
-    return cursor.expect_name(what).text, not negated
+    return cursor.expect_name(what), not negated
 
 
 def _parse_literal_list(cursor: _Cursor, what: str) -> tuple[tuple[str, bool], ...]:
@@ -305,22 +362,22 @@ def _parse_literal_list(cursor: _Cursor, what: str) -> tuple[tuple[str, bool], .
 
 def _parse_utility(cursor: _Cursor, doc: Document) -> None:
     name = cursor.expect_name("treatment identifier")
-    if name.text == "joint" and not cursor.at("ident", _ADDITIVE_LABELS[0]):
-        cursor.expect("ident", "'when'", "when")
+    if name == "joint" and not cursor.at(_ADDITIVE_LABELS[0]):
+        cursor.expect("when")
         when = _parse_literal_list(cursor, "hypothesis literal")
-        cursor.expect("ident", "'given'", "given")
+        cursor.expect("given")
         given = _parse_literal_list(cursor, "treatment literal")
-        cursor.expect("ident", "'value'", "value")
-        value = float(cursor.expect("number", "utility value").text)
+        cursor.expect("value")
+        value = cursor.expect_number("utility value")
         cursor.expect_end()
         doc.joints.append(JointEntry(when, given, value))
         return
     values: list[float] = []
     for label in _ADDITIVE_LABELS:
-        cursor.expect("ident", f"'{label}'", label)
-        values.append(float(cursor.expect("number", "utility value").text))
+        cursor.expect(label)
+        values.append(cursor.expect_number("utility value"))
     cursor.expect_end()
-    doc.additive.append((name.text, AdditiveEntry(*values)))
+    doc.additive.append((name, AdditiveEntry(*values)))
 
 
 _STATEMENT_PARSERS = {
@@ -332,6 +389,8 @@ _STATEMENT_PARSERS = {
     "treatment": _parse_treatment,
     "utility": _parse_utility,
 }
+
+_FORMULA_START = ("identifier", "'!'", "'('", "true", "false")
 
 
 def _parse_formula(cursor: _Cursor, level: int = 0) -> Formula:
@@ -353,29 +412,25 @@ def _parse_formula(cursor: _Cursor, level: int = 0) -> Formula:
 
 def _parse_unary(cursor: _Cursor) -> Formula:
     token = cursor.peek()
-    if token is None:
-        raise cursor.fail("formula", ("identifier", "'!'", "'('", "true", "false"))
-    if token.kind in ("!", "("):
+    if token in ("!", "("):
         cursor.descend()
-        if token.kind == "!":
+        if token == "!":
             inner = Not(_parse_unary(cursor))
         else:
             inner = _parse_formula(cursor)
-            cursor.expect(")", "')'")
+            cursor.expect(")")
         cursor.depth -= 1
         return inner
-    if token.kind == "ident":
+    if _kind(token) == "ident":
         cursor.advance()
-        if token.text == "true":
+        if token == "true":
             return TRUE
-        if token.text == "false":
+        if token == "false":
             return FALSE
-        return Atom(token.text)
-    raise ParseError(
-        token.span,
-        f"unexpected token '{token.text}' in formula",
-        ("identifier", "'!'", "'('", "true", "false"),
-    )
+        return Atom(token)
+    if not token:
+        raise cursor.fail("formula", _FORMULA_START)
+    raise cursor.error(f"unexpected token '{token}' in formula", _FORMULA_START)
 
 
 def assemble_bundle(documents: list[Document]) -> ParsedBundle:
@@ -449,11 +504,8 @@ def _format_number(value: float) -> str:
 
 def _name(name: str) -> str:
     """``name``, if the reader reads it back as one identifier token."""
-    try:
-        if _tokenize_line(name, 1) == [Token("ident", name, 1, 1)] and name not in RESERVED_WORDS:
-            return name
-    except ParseError:
-        pass
+    if _Cursor(name).tokens == [name, ""] and _kind(name) == "ident" and name not in RESERVED_WORDS:
+        return name
     raise ValueError(f"name cannot be written as .fdl: {name!r}")
 
 
@@ -468,7 +520,7 @@ def _fact_line(fact: Formula) -> str:
         _name(name)
     text = render(fact)
     try:
-        _parse_formula(_Cursor(_tokenize_line(text, 1)))
+        _parse_formula(_Cursor(text))
     except ParseError as exc:
         raise ValueError(f"fact cannot be written as .fdl: {exc.message}") from None
     return f"fact {text}"

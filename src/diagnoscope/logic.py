@@ -118,8 +118,16 @@ def satisfies_observations(
     """One row's test of the observations. Nothing in the package calls it:
     it stays only for the benchmark tracer, which counts its calls by name,
     until the tracer reads the engine's own counters (the benchmarks part of
-    ROADMAP item 5)."""
-    return _evaluate(theory, _literals(observations.literals), dict(interpretation.literals()).__getitem__, True)
+    ROADMAP item 5). A hypothesis of the theory that ``interpretation``
+    lacks is an UnknownAtomError."""
+    values = dict(interpretation.literals())
+
+    def value(name: str) -> bool:
+        if name not in values:
+            raise UnknownAtomError(f"unknown atom '{name}'")
+        return values[name]
+
+    return _evaluate(theory, _literals(observations.literals), value, True)
 
 
 def _literals(literals: Iterable[tuple[str, bool]]) -> Formula:

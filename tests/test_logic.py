@@ -115,6 +115,16 @@ def test_evaluation_leaves_no_cyclic_garbage(circuit4):
         gc.enable()
 
 
+def test_an_interpretation_without_a_hypothesis_is_an_unknown_atom(circuit4):
+    """An interpretation of another model, here one holding only circuit4's
+    first two hypotheses, lacks the atoms the observations reach."""
+    smaller = FaultModel(hypotheses=circuit4.hypotheses[:2], observables=(), rules=())
+    with pytest.raises(UnknownAtomError, match="^unknown atom 'C'$"):
+        logic.satisfies_observations(
+            clark_completion(circuit4), interpretation_at(smaller, 0), ObservationSet.of("E")
+        )
+
+
 def test_evaluate_errors(circuit4):
     theory = clark_completion(circuit4)
     with pytest.raises(UnknownAtomError, match="unknown atom"):
