@@ -2,7 +2,9 @@
 
 One ``Query`` per question (a model and its observations) completes the
 model, compiles the row masks of its facts and observations (``logic``)
-and builds the posterior table, each once, on first use. The table is
+and builds the posterior table, each once, on first use; the rankers and
+the treatment search read the mass of each distinct conjunction of
+hypothesis literals from it once (``Query.mass``). The table is
 one posterior per row, in index order: the row's prior, a prefix product
 over the priors in declaration order, or an exact 0.0 outside the facts-
 and-observations mask, normalized by the evidence probability. A row is
@@ -19,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import UnknownAtomError, ZeroProbabilityObservationError
 from .formulas import Formula
@@ -86,6 +88,34 @@ class Query:
             raise table
         return table
 
+    @cached_property
+    def mass(self) -> Callable[[Iterable[tuple[str, bool]]], float]:
+        """The posterior mass of a conjunction of hypothesis literals, read
+        from the table, which is built first. Each distinct row mask is
+        summed once per question: a conjunction's faulty and normal
+        hypotheses name its row mask one to one (every contradictory one
+        names the empty mask), so they key the sums. A name that is not a
+        hypothesis, observables included, is an unknown atom."""
+        table, index = self.table, self.model.hypothesis_index
+        masses: dict[tuple[int, int] | None, float] = {}
+
+        def mass(literals: Iterable[tuple[str, bool]]) -> float:
+            literals = tuple(literals)
+            faulty = normal = 0
+            for name, polarity in literals:
+                if name not in index:
+                    raise UnknownAtomError(f"unknown atom '{name}'")
+                if polarity:
+                    faulty |= 1 << index[name]
+                else:
+                    normal |= 1 << index[name]
+            key = None if faulty & normal else (faulty, normal)
+            if key not in masses:
+                masses[key] = marginal(table, _literals(literals))
+            return masses[key]
+
+        return mass
+
 
 def _build_table(query: Query) -> PosteriorTable:
     possible = _selectors(query.good, 1 << len(query.model.hypotheses))
@@ -112,16 +142,6 @@ def marginal(table: PosteriorTable, formula: Formula) -> float:
     definitions)."""
     selected = _selectors(_rows(table.theory, formula), len(table.posteriors))
     return math.fsum(itertools.compress(table.posteriors, selected))
-
-
-def _literal_mass(table: PosteriorTable, literals: Iterable[tuple[str, bool]]) -> float:
-    """Posterior mass of a conjunction of hypothesis literals; a name that
-    is not a hypothesis, observables included, is an unknown atom."""
-    literals = tuple(literals)
-    for name, _polarity in literals:
-        if not table.theory.model.is_hypothesis(name):
-            raise UnknownAtomError(f"unknown atom '{name}'")
-    return marginal(table, _literals(literals))
 
 
 def most_likely_interpretations(table: PosteriorTable) -> list[int]:

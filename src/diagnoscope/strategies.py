@@ -12,8 +12,10 @@ different reading of the question:
 
 Posterior, consistency and abduction share one scorer (``_scored``), the
 posterior mass of a fault set's positive conjunction, and differ only in
-the fault sets they score. Every ranker but MPE's ends in one stable sort
-that takes the ties (``_ranked``).
+the fault sets they score; a mass one of them has summed is not summed
+again for the others or for a treatment target (``Query.mass``). Every
+ranker but MPE's ends in one stable sort that takes the ties
+(``_ranked``).
 
 They can disagree on the same input; compare_strategies runs all of them
 and flags every pair whose leaders differ once projected to fault sets.
@@ -43,7 +45,6 @@ from .probability import (
     TIE_EPSILON,
     Query,
     _by_posterior,
-    _literal_mass,
     most_likely_interpretations,
 )
 
@@ -157,8 +158,7 @@ def _ranked(strategy: Strategy, candidates: list[Candidate]) -> RankedDiagnoses:
 
 def _scored(query: Query, strategy: Strategy, fault_sets: list[frozenset[str]]) -> RankedDiagnoses:
     """Rank fault sets by the posterior mass of their positive literals."""
-    table = query.table
-    candidates = [Candidate(s, _literal_mass(table, ((n, True) for n in s))) for s in fault_sets]
+    candidates = [Candidate(s, query.mass((n, True) for n in s)) for s in fault_sets]
     return _ranked(strategy, candidates)
 
 

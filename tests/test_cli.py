@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,30 @@ def test_utility_overflow_is_a_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
     assert (code, err) == (0, "")
     assert f"errors:\n  treatment: {message}\n" in out
+
+
+def test_an_exact_total_within_the_float_range_is_an_answer(capsys, tmp_path):
+    """FixA and FixB each pay the largest float, and a joint term takes it
+    back once when both are chosen. A partial sum of that set overflows,
+    but its exact total, like every set's, is within the float range, so
+    treat answers (it exited 1 while each set was summed with math.fsum)."""
+    largest = int(sys.float_info.max)  # written out as a plain decimal
+    path = tmp_path / "largest.fdl"
+    path.write_text(
+        "hypothesis A prior 0.5\nhypothesis B prior 0.5\nhypothesis C prior 1\n"
+        "observable E\nrule A => E\n"
+        "treatment FixA targets A\ntreatment FixB targets B\n"
+        f"utility FixA treat-faulty {largest} treat-ok {largest} skip-faulty 0 skip-ok 0\n"
+        f"utility FixB treat-faulty {largest} treat-ok {largest} skip-faulty 0 skip-ok 0\n"
+        f"utility joint when C given FixA & FixB value -{largest}\n"
+    )
+    code, out, err = run(capsys, "treat", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    answer = json.loads(out)
+    assert (answer["chosen"], answer["expected_utility"]) == (["FixA"], sys.float_info.max)
+    code, out, err = run(capsys, "diagnose", str(path), "--strategy", "all")
+    assert (code, err) == (0, "")
+    assert "errors:" not in out
 
 
 def test_findings_block_other_commands(capsys, tmp_path):

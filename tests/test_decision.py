@@ -2,24 +2,29 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagnoscope import decision
 from diagnoscope.decision import (
+    TreatmentDecision,
     additive_fix_threshold,
     expected_utility,
     optimal_treatment,
 )
 from diagnoscope.errors import (
+    DiagnoscopeError,
     NoFiniteThresholdError,
     SearchSpaceError,
     UnknownAtomError,
     ZeroProbabilityObservationError,
 )
 from diagnoscope.formulas import Atom
+from diagnoscope.logic import _literals
 from diagnoscope.model import (
     AdditiveEntry,
     FaultModel,
@@ -30,9 +35,10 @@ from diagnoscope.model import (
     TreatmentAction,
     UtilityModel,
 )
-from diagnoscope.probability import marginal, posterior_table
+from diagnoscope.probability import Query, marginal, posterior_table
 from diagnoscope.strategies import compare_strategies
 
+from .conftest import make_circuit4
 from .oracle import assignment_for_index, posterior_rows, random_formula, random_model, ruled_observables
 
 UNIT_GAIN = AdditiveEntry(1.0, -1.0, 0.0, 0.0)
@@ -299,7 +305,9 @@ def test_interacting_utility_depends_only_on_needed_probabilities(
             selected = frozenset(combo)
             engine = expected_utility(circuit4, observe_current, utility, gate_treatments, selected)
             on_shifted = decision._total(
-                decision._utility_parts(perturbed, utility, gate_treatments)(selected)
+                decision._utility_parts(
+                    lambda literals: marginal(perturbed, _literals(literals)), utility, gate_treatments
+                ).parts(selected)
             )
             assert on_shifted == pytest.approx(engine, abs=1e-12)
             original = row_by_row_eu(circuit4, table.posteriors, utility, gate_treatments, selected)
@@ -433,3 +441,276 @@ def test_joint_pattern_on_an_observable_is_an_unknown_atom(
         optimal_treatment(circuit4, observe_current, utility, gate_treatments)
     report = compare_strategies(circuit4, observe_current, utility, gate_treatments)
     assert report.failures == (("treatment", "unknown atom 'E'"),)
+
+
+def reference_total(terms):
+    """A set's expected utility before the exact search: ``math.fsum``, whose
+    overflow, of the total or of a partial sum, is a domain error."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DiagnoscopeError("expected utility overflows the float range") from None
+
+
+def reference_optimal_treatment(model, observations, utility, treatments):
+    """The search before the subset-sum transform, verbatim: every set
+    scored one at a time, by size and then by ids, the first of the
+    highest totals kept."""
+    parts = decision._utility_parts(Query(model, observations).mass, utility, treatments).parts
+    ids = sorted(treatment.id for treatment in treatments)
+    best_set: frozenset[str] = frozenset()
+    best_utility = float("-inf")
+    for size in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
+            selected = frozenset(combo)
+            value = reference_total(parts(selected))
+            if value > best_utility:
+                best_utility = value
+                best_set = selected
+    breakdown: dict[str, float] | None = None
+    if not utility.joint_entries:
+        breakdown = dict(zip((t.id for t in treatments), parts(best_set)))
+    return TreatmentDecision(best_set, best_utility, breakdown)
+
+
+def assert_same_decision(got, want):
+    """Same set, and the same expected utility and breakdown to the bit."""
+    assert got.chosen == want.chosen
+    assert got.expected_utility.hex() == want.expected_utility.hex()
+    if want.per_treatment_breakdown is None:
+        assert got.per_treatment_breakdown is None
+    else:
+        assert {k: v.hex() for k, v in got.per_treatment_breakdown.items()} == {
+            k: v.hex() for k, v in want.per_treatment_breakdown.items()
+        }
+
+
+def coupled_problem(rng, max_treatments=6, max_joints=8):
+    """A random model (facts sometimes) with observations, up to
+    ``max_treatments`` treatments and ``max_joints`` joint terms. A joint
+    term's ``given`` may negate literals, repeat one, hold both t and !t or
+    name a treatment that is not offered.
+    Utilities are all small integers (so sets tie), all zero (the empty set
+    wins), or floats of mixed magnitude. None when the observations are
+    impossible."""
+    model = random_model(rng, max_hypotheses=5, max_observables=2, max_rules=5, with_facts=True)
+    ids = list(model.hypothesis_ids)
+    ruled = ruled_observables(model)
+    observed = rng.sample(ruled, rng.randint(0, min(2, len(ruled))))
+    observations = ObservationSet(tuple((name, rng.random() < 0.8) for name in observed))
+    kind = rng.choice(("integer", "zero", "float"))
+
+    def value():
+        if kind == "integer":
+            return float(rng.randint(-3, 3))
+        if kind == "zero":
+            return 0.0
+        return rng.uniform(-10, 10) * 10.0 ** rng.randint(-6, 6)
+
+    treatments = tuple(
+        TreatmentAction(f"T{k}", rng.choice(ids)) for k in range(rng.randint(0, max_treatments))
+    )
+    additive = {
+        t.id: AdditiveEntry(value(), value(), value(), value())
+        for t in treatments
+        if rng.random() < 0.7
+    }
+    joints = []
+    for _ in range(rng.randint(0, max_joints)):
+        when = tuple((rng.choice(ids), rng.random() < 0.6) for _ in range(rng.randint(1, 3)))
+        given = [
+            (rng.choice(treatments).id, rng.random() < 0.5)
+            for _ in range(rng.randint(0, min(4, len(treatments))))
+        ]
+        if given and rng.random() < 0.4:  # a repeated literal, or t & !t
+            tid, polarity = rng.choice(given)
+            given.append((tid, polarity if rng.random() < 0.5 else not polarity))
+        if rng.random() < 0.1:  # the Python API takes a treatment that is not offered
+            given.append(("Unoffered", rng.random() < 0.5))
+        rng.shuffle(given)
+        joints.append(JointEntry(when, tuple(given), value()))
+    try:
+        posterior_table(model, observations)
+    except ZeroProbabilityObservationError:
+        return None
+    return model, observations, UtilityModel(additive, tuple(joints)), treatments
+
+
+def assert_search_matches_reference(problem):
+    model, observations, utility, treatments = problem
+    got = optimal_treatment(model, observations, utility, treatments)
+    assert_same_decision(got, reference_optimal_treatment(model, observations, utility, treatments))
+    assert got.expected_utility == expected_utility(model, observations, utility, treatments, got.chosen)
+
+
+def test_treatment_search_matches_the_per_set_search_on_seeded_models():
+    problems = (coupled_problem(random.Random(seed)) for seed in range(600))
+    checked = [problem for problem in problems if problem is not None]
+    for problem in checked:
+        assert_search_matches_reference(problem)
+    utilities = [problem[2] for problem in checked]
+    assert len(checked) >= 400
+    assert sum(not problem[3] for problem in checked) >= 20  # no treatment at all
+    assert sum(
+        any(given.count((tid, True)) and given.count((tid, False)) for tid, _ in given)
+        for utility in utilities
+        for given in (joint.given for joint in utility.joint_entries)
+    ) >= 50  # t & !t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_treatment_search_matches_the_per_set_search_with_many_treatments(seed):
+    """Twelve treatments and dense joint terms: every level of the transform
+    runs both as strided and as contiguous slices."""
+    rng = random.Random(1000 + seed)
+    problem = None
+    while problem is None:
+        problem = coupled_problem(rng, max_treatments=12, max_joints=40)
+        if problem is not None and len(problem[3]) < 10:
+            problem = None
+    assert_search_matches_reference(problem)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_treatment_search_matches_the_per_set_search(rng):
+    problem = coupled_problem(rng)
+    if problem is not None:
+        assert_search_matches_reference(problem)
+
+
+def test_all_zero_utilities_choose_the_empty_set():
+    model = make_circuit4()
+    treatments = tuple(TreatmentAction(f"T{k}", name) for k, name in enumerate("ABCDABCDAB"))
+    zero = AdditiveEntry(0.0, 0.0, 0.0, 0.0)
+    joints = (JointEntry((("A", True),), (("T1", True), ("T2", False)), 0.0),)
+    for utility in (UtilityModel({t.id: zero for t in treatments}), UtilityModel(joint_entries=joints)):
+        got = optimal_treatment(model, ObservationSet.of("E"), utility, treatments)
+        assert (got.chosen, got.expected_utility) == (frozenset(), 0.0)
+        assert_same_decision(got, reference_optimal_treatment(model, ObservationSet.of("E"), utility, treatments))
+
+
+def test_subset_sums_are_sums_over_subsets():
+    rng = random.Random(5)
+    for count in range(9):
+        values = [rng.randint(-(10**30), 10**30) for _ in range(1 << count)]
+        sums = list(values)
+        decision._subset_sums(sums, count)
+        assert sums == [
+            sum(value for subset, value in enumerate(values) if subset & ~mask == 0)
+            for mask in range(1 << count)
+        ]
+
+
+MAX = sys.float_info.max
+
+
+def _extreme_model(joint_value):
+    """FixA and FixB each pay MAX, exactly (p = 0.5 of MAX and MAX); a joint
+    term pays ``joint_value`` when both are chosen (C is certain)."""
+    model = FaultModel(
+        hypotheses=(Hypothesis("A", 0.5), Hypothesis("B", 0.5), Hypothesis("C", 1.0)),
+        observables=(ObservableVar("E"),),
+        rules=(),
+    )
+    treatments = (TreatmentAction("FixA", "A"), TreatmentAction("FixB", "B"))
+    utility = UtilityModel(
+        {t.id: AdditiveEntry(MAX, MAX, 0.0, 0.0) for t in treatments},
+        (JointEntry((("C", True),), (("FixA", True), ("FixB", True)), joint_value),),
+    )
+    return model, ObservationSet(), utility, treatments
+
+
+def test_an_exact_total_within_the_float_range_is_no_overflow():
+    """Both treatments together pay MAX + MAX - MAX: ``math.fsum`` overflows
+    in a partial sum, but the exact total is MAX. The exact sum decides, so
+    every set has a total, and the first of the four-way tie wins, where the
+    per-set search failed."""
+    problem = _extreme_model(-MAX)
+    with pytest.raises(DiagnoscopeError, match="overflows the float range"):
+        reference_optimal_treatment(*problem)
+    got = optimal_treatment(*problem)
+    assert (got.chosen, got.expected_utility) == (frozenset({"FixA"}), MAX)
+    both = frozenset({"FixA", "FixB"})
+    assert expected_utility(*problem, both) == MAX
+    assert compare_strategies(*problem).treatment == got
+
+
+@pytest.mark.parametrize("joint_value", [-MAX / 2, 0.0])
+def test_a_total_beyond_the_float_range_is_a_domain_error(joint_value):
+    """MAX + MAX - MAX / 2 and MAX + MAX overflow whichever set wins, as
+    they did."""
+    problem = _extreme_model(joint_value)
+    for search in (optimal_treatment, reference_optimal_treatment):
+        with pytest.raises(DiagnoscopeError, match="^expected utility overflows the float range$"):
+            search(*problem)
+    assert compare_strategies(*problem).failures[-1] == (
+        "treatment",
+        "expected utility overflows the float range",
+    )
+
+
+def test_a_losing_set_beyond_the_float_range_is_a_domain_error():
+    """Skipping both treatments loses 2 * 0.9 * MAX, beyond the float range;
+    treating both pays 0. Any set's overflow is the error, as it was, not
+    only the best set's."""
+    model = _extreme_model(0.0)[0]
+    treatments = (TreatmentAction("FixA", "A"), TreatmentAction("FixB", "B"))
+    loss = -0.9 * MAX
+    utility = UtilityModel({t.id: AdditiveEntry(0.0, 0.0, loss, loss) for t in treatments})
+    for search in (optimal_treatment, reference_optimal_treatment):
+        with pytest.raises(DiagnoscopeError, match="^expected utility overflows the float range$"):
+            search(model, ObservationSet(), utility, treatments)
+    assert expected_utility(model, ObservationSet(), utility, treatments, frozenset({"FixA", "FixB"})) == 0.0
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "fix_a, fix_b, joint_value, selected",
+    [
+        (AdditiveEntry(INF, 0.0, 0.0, 0.0), None, 1.0, {"FixA"}),
+        (AdditiveEntry(0.0, 0.0, -INF, 0.0), None, 1.0, set()),
+        (AdditiveEntry(NAN, 0.0, 0.0, 0.0), None, 1.0, {"FixA"}),
+        (None, None, INF, set()),
+        (None, None, -INF, set()),
+        # inf - inf in one set: math.fsum raised ValueError here
+        (AdditiveEntry(INF, INF, 0.0, 0.0), AdditiveEntry(-INF, -INF, 0.0, 0.0), 1.0, {"FixA", "FixB"}),
+    ],
+)
+def test_a_term_that_is_not_finite_is_a_domain_error(
+    circuit4, observe_current, fix_a, fix_b, joint_value, selected
+):
+    """Through the Python API, which does not validate utilities, a term can
+    be infinite or NaN. It has no exact value, so the search, and the
+    expected utility of any set whose terms include it, end in the overflow
+    error: not in a traceback, and not in a total of inf."""
+    treatments = (TreatmentAction("FixA", "A"), TreatmentAction("FixB", "B"))
+    additive = {tid: entry for tid, entry in (("FixA", fix_a), ("FixB", fix_b)) if entry is not None}
+    utility = UtilityModel(additive, (JointEntry((("B", True),), (("FixB", False),), joint_value),))
+    message = "^expected utility overflows the float range$"
+    with pytest.raises(DiagnoscopeError, match=message):
+        optimal_treatment(circuit4, observe_current, utility, treatments)
+    with pytest.raises(DiagnoscopeError, match=message):
+        expected_utility(circuit4, observe_current, utility, treatments, frozenset(selected))
+    report = compare_strategies(circuit4, observe_current, utility, treatments)
+    assert report.failures == (("treatment", "expected utility overflows the float range"),)
+
+
+def test_totals_that_round_to_one_float_tie():
+    """{T0} totals 1 - 2^-54 and {T1} 1 + 2^-53, exactly: 0.75 ulp apart,
+    but both round to 1.0, so they tie and T0, the first id, wins, as in
+    the per-set search."""
+    model = FaultModel(hypotheses=(Hypothesis("C", 1.0),), observables=(ObservableVar("E"),), rules=())
+    treatments = (TreatmentAction("T0", "C"), TreatmentAction("T1", "C"))
+    only_t0, only_t1 = (("T0", True), ("T1", False)), (("T1", True), ("T0", False))
+    utility = UtilityModel(
+        joint_entries=tuple(
+            JointEntry((("C", True),), given, value)
+            for given, value in ((only_t0, 1.0), (only_t0, -(2.0**-54)), (only_t1, 1.0), (only_t1, 2.0**-53))
+        )
+    )
+    got = optimal_treatment(model, ObservationSet(), utility, treatments)
+    assert (got.chosen, got.expected_utility) == (frozenset({"T0"}), 1.0)
+    assert_same_decision(got, reference_optimal_treatment(model, ObservationSet(), utility, treatments))

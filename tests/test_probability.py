@@ -16,7 +16,7 @@ from diagnoscope.model import (
     interpretation_at,
 )
 from diagnoscope.probability import (
-    _literal_mass,
+    Query,
     covering_mass_set,
     marginal,
     most_likely_interpretations,
@@ -222,22 +222,27 @@ def test_marginal_equals_brute_force_sum():
 
 def test_literal_mass_is_the_marginal_of_the_conjunction():
     """Same rows, same order: equal to the last bit, contradictions
-    included; a name that is not a hypothesis is an unknown atom."""
+    included, whether the query has summed the same row mask before (the
+    literals reordered or repeated) or not; a name that is not a
+    hypothesis is an unknown atom."""
     rng = random.Random(47)
     for _ in range(60):
         model = random_model(rng, max_hypotheses=5, max_rules=4)
         table = posterior_table(model, ObservationSet())
+        mass = Query(model, ObservationSet()).mass
         ids = model.hypothesis_ids
-        literals = [(rng.choice(ids), rng.random() < 0.5) for _ in range(rng.randint(0, 4))]
-        formula = conjunction(
-            [Atom(name) if polarity else Not(Atom(name)) for name, polarity in literals]
-        )
-        assert _literal_mass(table, literals) == marginal(table, formula)
+        for _ in range(4):
+            literals = [(rng.choice(ids), rng.random() < 0.5) for _ in range(rng.randint(0, 4))]
+            formula = conjunction(
+                [Atom(name) if polarity else Not(Atom(name)) for name, polarity in literals]
+            )
+            assert mass(literals) == marginal(table, formula)
+            assert mass(reversed(literals + literals[:1])) == marginal(table, formula)
     circuit4 = make_circuit4()
-    table = posterior_table(circuit4, ObservationSet.of("E"))
+    mass = Query(circuit4, ObservationSet.of("E")).mass
     for name in ("E", "Z"):
         with pytest.raises(UnknownAtomError, match=f"^unknown atom '{name}'$"):
-            _literal_mass(table, (("A", True), (name, True)))
+            mass((("A", True), (name, True)))
 
 
 def test_mpe_ignores_added_independent_variable():

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import collections.abc
+import itertools
+import math
 import random
+import types
 
 import pytest
 
 from diagnoscope import probability
 from diagnoscope.errors import ZeroProbabilityObservationError
 from diagnoscope.formulas import And, Atom, Not, conjunction
+from diagnoscope.logic import _literals, _rows, clark_completion
 from diagnoscope.model import (
     AdditiveEntry,
     CausalRule,
     FaultModel,
     Hypothesis,
+    JointEntry,
     ObservableVar,
     ObservationSet,
     TreatmentAction,
@@ -427,3 +432,95 @@ def test_error_order_through_compare_strategies(observed, expected):
     report = compare_strategies(model, ObservationSet.of(*observed))
     assert report.failures == expected
     assert report.rankings == ()
+
+
+def _counting_fsum(monkeypatch) -> list[None]:
+    """Count the ``math.fsum`` calls of ``probability``: one for the
+    evidence of each table, one for each marginal."""
+    calls: list[None] = []
+    fsum = math.fsum
+
+    def counting(values):
+        calls.append(None)
+        return fsum(values)
+
+    monkeypatch.setattr(probability, "math", types.SimpleNamespace(**dict(vars(math), fsum=counting)))
+    return calls
+
+
+def _summed_masks(model, report, treatments, utility) -> list[int]:
+    """The row mask of every conjunction the comparison asks the mass of:
+    each posterior singleton, consistency and abduction set, treatment
+    target and joint ``when``."""
+    theory = clark_completion(model)
+    conjunctions = [((name, True),) for name in model.hypothesis_ids]
+    for strategy, ranking in report.rankings:
+        if strategy in (Strategy.CONSISTENCY, Strategy.ABDUCTIVE):
+            conjunctions += [tuple((name, True) for name in c.fault_set) for c in ranking.candidates]
+    conjunctions += [((t.target, True),) for t in treatments]
+    conjunctions += [joint.when for joint in utility.joint_entries]
+    return [_rows(theory, _literals(literals)) for literals in conjunctions]
+
+
+def _mask_sharing_problems():
+    """circuit4 with joint terms, two of them contradictory, and seeded
+    random models with facts, whose treatments target hypotheses and whose
+    joint terms repeat ``when`` patterns; each has a posterior table."""
+    circuit4 = make_circuit4()
+    gates = tuple(TreatmentAction(f"Fix{name}", name) for name in "ABCD")
+    joints = (
+        JointEntry((("A", True), ("D", True)), (("FixA", True),), 2.0),
+        JointEntry((("D", True), ("A", True)), (("FixD", False),), -1.0),
+        JointEntry((("B", True), ("B", False)), (("FixB", True),), 3.0),
+        JointEntry((("C", False), ("C", True)), (), 1.0),
+        JointEntry((("C", True),), (("FixC", True),), 0.5),
+    )
+    unit = AdditiveEntry(1.0, -1.0, 0.0, 0.0)
+    yield circuit4, ObservationSet.of("E"), UtilityModel({t.id: unit for t in gates}, joints), gates
+    rng = random.Random(89)
+    while True:
+        model = random_model(rng, max_hypotheses=6, max_rules=5, with_facts=True)
+        ruled = ruled_observables(model)
+        if not ruled:
+            continue
+        observations = ObservationSet.of(rng.choice(ruled))
+        try:
+            posterior_table(model, observations)
+        except ZeroProbabilityObservationError:
+            continue
+        ids = model.hypothesis_ids
+        treatments = tuple(TreatmentAction(f"T{k}", rng.choice(ids)) for k in range(rng.randint(1, 5)))
+        whens = [tuple((rng.choice(ids), rng.random() < 0.7) for _ in range(rng.randint(1, 2))) for _ in range(3)]
+        joints = tuple(
+            JointEntry(rng.choice(whens), ((rng.choice(treatments).id, rng.random() < 0.5),), rng.uniform(-2, 2))
+            for _ in range(rng.randint(0, 4))
+        )
+        additive = {t.id: AdditiveEntry(*(rng.uniform(-2, 2) for _ in range(4))) for t in treatments}
+        yield model, observations, UtilityModel(additive, joints), treatments
+
+
+def test_each_row_mask_is_summed_once_per_query(monkeypatch):
+    """The rankers and the treatment search share the query's sums: each
+    distinct row mask is summed once per comparison, the same mask asked
+    for again (by another ranker, a treatment target or a joint term, with
+    its literals in another order or contradictory in another way) is not
+    summed again, and a second comparison sums afresh. The public
+    ``marginal`` keeps no sums: it sums on every call."""
+    calls = _counting_fsum(monkeypatch)
+    shared = 0
+    for model, observations, utility, treatments in itertools.islice(_mask_sharing_problems(), 40):
+        before = len(calls)
+        report = compare_strategies(model, observations, utility, treatments)
+        assert report.treatment is not None
+        masks = _summed_masks(model, report, treatments, utility)
+        assert len(calls) - before == 1 + len(set(masks))  # the evidence, then each mask once
+        shared += len(masks) - len(set(masks))
+        before = len(calls)
+        assert compare_strategies(model, observations, utility, treatments) == report
+        assert len(calls) - before == 1 + len(set(masks))
+    assert shared >= 200
+    table = posterior_table(model, observations)
+    before = len(calls)
+    first = marginal(table, Atom(model.hypothesis_ids[0]))
+    assert marginal(table, Atom(model.hypothesis_ids[0])) == first
+    assert len(calls) - before == 2
