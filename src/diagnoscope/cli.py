@@ -29,7 +29,7 @@ from .decision import TreatmentDecision, optimal_treatment
 from .dsl import Document, ParseError, ParsedBundle, assemble_bundle, parse_document
 from .errors import DiagnoscopeError
 from .model import FaultModel, ObservationSet
-from .probability import PosteriorTable, Query, covering_mass_set
+from .probability import Query, covering_mass_set
 from .strategies import (
     _RANKERS,
     Candidate,
@@ -97,15 +97,20 @@ def run_cli(argv: list[str]) -> int:
     """Answer one query: the answer goes to stdout, diagnostics to stderr,
     and the exit code is returned. Every check runs before the first byte
     of the answer is written, so a query that fails writes nothing to
-    stdout; a table or JSON answer is then written in chunks of rows
-    (``_write_each``). The cyclic collector is paused while a query runs
-    and its youngest generation collected once when it returns. A query
-    allocates container objects (parsed statements, formula nodes, the
-    searches' fault sets) that live until it returns; unpaused, the
-    collector passes over them a varying number of times mid-query,
-    which costs small queries more than the one collection does. The
-    collection also frees the reference cycles argparse leaves behind
-    after a usage error or ``--help``."""
+    stdout. Of several faults the first checked names the error: every
+    command but ``treat`` reads the posterior table first, and ``treat``
+    checks for a utility model and then the treatment cap before it. A
+    table is written by ``_write_table`` and JSON by ``_print_json``, each
+    in chunks of rows (``_write_each``).
+
+    The cyclic collector is paused while a query runs and its youngest
+    generation collected once when it returns. A query allocates
+    container objects (parsed statements, formula nodes, the searches'
+    fault sets) that live until it returns; unpaused, the collector passes
+    over them a varying number of times mid-query, which costs small
+    queries more than the one collection does. The collection also frees
+    the reference cycles argparse leaves behind after a usage error or
+    ``--help``."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -161,50 +166,24 @@ def _load_bundle(args: argparse.Namespace) -> ParsedBundle:
     return assemble_bundle(documents)
 
 
-def _gate_findings(bundle: ParsedBundle) -> bool:
-    if not bundle.findings:
-        return False
-    for finding in bundle.findings:
-        print(f"finding: {finding.message}", file=sys.stderr)
-    return True
-
-
-def _observations(args: argparse.Namespace, bundle: ParsedBundle) -> ObservationSet:
-    if args.observe:
-        return ObservationSet.of(*args.observe)
-    return bundle.observations if bundle.observations is not None else ObservationSet()
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "check":
-        return _cmd_check(args)
+    """Answer the command from ``_COMMANDS``. Findings block every command
+    but ``check``, and each of those answers one ``Query``."""
     bundle = _load_bundle(args)
-    if _gate_findings(bundle):
-        return 1
-    observations = _observations(args, bundle)
-    if args.command == "treat":
-        return _cmd_treat(args, bundle, observations)
-    # The other commands answer one query, whose table is built before
-    # anything else so that its errors take precedence.
-    query = Query(bundle.model, observations)
-    table = query.table
-    if args.command == "interpretations":
-        return _cmd_interpretations(args, table)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args, bundle, query)
-    if args.command == "cover":
-        return _cmd_cover(args, table)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    bundle = assemble_bundle([_parse_file(args.file)])
-    if bundle.findings:
+    query = None
+    if args.command != "check":
         for finding in bundle.findings:
-            print(finding.message)
-        return 1
-    print("ok")
-    return 0
+            print(f"finding: {finding.message}", file=sys.stderr)
+        if bundle.findings:
+            return 1
+        observed = ObservationSet.of(*args.observe) if args.observe else bundle.observations
+        query = Query(bundle.model, observed or ObservationSet())
+    return _COMMANDS[args.command](args, bundle, query)
+
+
+def _cmd_check(args: argparse.Namespace, bundle: ParsedBundle, query: None) -> int:
+    print("\n".join(finding.message for finding in bundle.findings) or "ok")
+    return 1 if bundle.findings else 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +256,31 @@ def _layout(columns: list[tuple[str, str, int]]) -> tuple[str, str]:
     return header, template
 
 
-def _print(text: str) -> int:
-    print(text)
+# Rows of a table or items of a _Rows written to stdout in one call.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_each(write: Callable[[str], object], items: Iterator[str], separator: str) -> None:
+    """Write ``separator`` before each item, a few thousand items per write."""
+    while batch := list(itertools.islice(items, _ROWS_PER_WRITE)):
+        write(separator + separator.join(batch))
+
+
+def _write_table(
+    head: str, columns: list[tuple[str, str, int]], rows: Iterable[tuple], tail: Iterable[str] = ()
+) -> int:
+    """Write a table answer: the ``head`` lines, the header and ``rows`` of
+    the table of ``columns`` (``_layout``), then the ``tail`` texts, each
+    of which opens a line with a newline or goes on with the one before,
+    and a last newline. The rows and the tail go out a few thousand at a
+    time, so neither the rows nor a row-sized tail line (the MPE ties) is
+    built as one string."""
+    header, template = _layout(columns)
+    write = sys.stdout.write
+    write(f"{head}\n{header}")
+    _write_each(write, map(template.__mod__, rows), "\n")
+    _write_each(write, iter(tail), "")
+    write("\n")
     return 0
 
 
@@ -295,16 +297,6 @@ class _Rows:
 
     def __init__(self, items: Callable[[str], Iterator[str]]):
         self.items = items
-
-
-# Rows of a table or items of a _Rows written to stdout in one call.
-_ROWS_PER_WRITE = 4096
-
-
-def _write_each(write: Callable[[str], object], items: Iterator[str], separator: str) -> None:
-    """Write ``separator`` before each item, a few thousand items per write."""
-    while batch := list(itertools.islice(items, _ROWS_PER_WRITE)):
-        write(separator + separator.join(batch))
 
 
 def _print_json(payload: object) -> int:
@@ -444,8 +436,8 @@ def _cover_items(
 # interpretations
 
 
-def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int:
-    model = table.theory.model
+def _cmd_interpretations(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
+    table, model = query.table, query.model
     if args.fmt == "json":
         posteriors = table.posteriors
         payload = {
@@ -458,20 +450,15 @@ def _cmd_interpretations(args: argparse.Namespace, table: PosteriorTable) -> int
         }
         return _print_json(payload)
     count = len(table.posteriors)
-    header, row = _layout(
+    return _write_table(
+        f"evidence probability: {table.evidence_probability:.6f}",
         [
             ("index", "d", len(str(count - 1))),
             ("interpretation", "-s", _interpretation_width(model, len(model.hypotheses))),
             ("posterior", ".4f", 6),
-        ]
+        ],
+        zip(itertools.count(), map(_interpretation_text(model), range(count)), table.posteriors),
     )
-    text = _interpretation_text(model)
-    rows = zip(itertools.count(), map(text, range(count)), table.posteriors)
-    write = sys.stdout.write
-    write(f"evidence probability: {table.evidence_probability:.6f}\n{header}")
-    _write_each(write, map(row.__mod__, rows), "\n")
-    write("\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +476,6 @@ def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
     """A ranking as JSON. The MPE ranking has one candidate per table row,
     so its fault sets are written from their row indices."""
     candidates, leader = ranking.candidates, ranking.leader
-    mpe = isinstance(candidates, RowCandidates)
 
     def fault_sets(ranked: Sequence[Candidate]) -> list | _Rows:
         if isinstance(ranked, RowCandidates):
@@ -504,19 +490,20 @@ def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
         "ties": fault_sets(ranking.ties),
         "rounded": {"scores": _numbers(round(score, 4) for score in _scores(candidates))},
     }
-    if mpe:
+    if isinstance(candidates, RowCandidates):
         payload["indices"] = _Rows(lambda newline: map(int.__repr__, candidates.indices))
     return payload
 
 
-def _render_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float) -> int:
+def _write_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float) -> int:
     """A ranking as a table, then its leader and, when several candidates
     tie, the ties. An MPE row is written ``[index] A !B ...``: the last
     row, every hypothesis normal, has the widest text and index."""
     head = f"strategy: {ranking.strategy.value}\nevidence probability: {evidence:.6f}"
     candidates = ranking.candidates
     if not candidates:
-        return _print(head + "\nno candidates")
+        print(head + "\nno candidates")
+        return 0
     if isinstance(candidates, RowCandidates):
         text = _interpretation_text(model)
 
@@ -532,24 +519,18 @@ def _render_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float
         width = max(map(len, labels))
         leader = labels[0]
         tied = [_fault_set_text(model, candidate.fault_set) for candidate in ranking.ties]
-    header, row = _layout(
-        [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", ".4f", 6)]
-    )
-    write = sys.stdout.write
-    write(f"{head}\n{header}")
-    _write_each(write, map(row.__mod__, zip(itertools.count(1), labels, _scores(candidates))), "\n")
-    write(f"\nleader: {leader}")
+    tail: Iterable[str] = [f"\nleader: {leader}"]
     if len(ranking.ties) > 1:
-        write("\nties:")
-        _write_each(write, iter(tied), " ")
-    write("\n")
-    return 0
+        tail = itertools.chain(tail, ["\nties:"], map(" ".__add__, tied))
+    return _write_table(
+        head,
+        [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", ".4f", 6)],
+        zip(itertools.count(1), labels, _scores(candidates)),
+        tail,
+    )
 
 
-def _render_report(
-    model: FaultModel, report: StrategyReport, evidence: float
-) -> str:
-    lines = [f"evidence probability: {evidence:.6f}"]
+def _write_report(model: FaultModel, report: StrategyReport, evidence: float) -> int:
     rows = []
     for strategy, ranking in report.rankings:
         leader = ranking.leader
@@ -558,27 +539,28 @@ def _render_report(
         else:
             rows.append((strategy.value, _fault_set_text(model, leader.fault_set), f"{leader.score:.4f}"))
     widths = [max(len(cells[k]) for cells in rows) for k in range(3)]
-    header, row = _layout(list(zip(("strategy", "leader", "score"), ("-s", "-s", "s"), widths)))
-    lines.append(header)
-    lines.extend(row % cells for cells in rows)
+    tail = []
     if report.treatment is not None:
         label = dict(report.leaders).get("treatment", frozenset())
-        lines.append(
-            "treatment: "
+        tail.append(
+            "\ntreatment: "
             + _braced(sorted(report.treatment.chosen))
             + f"  expected utility {_dollars(report.treatment.expected_utility)}"
             + f"  (targets {_fault_set_text(model, label)})"
         )
     if report.failures:
-        lines.append("errors:")
-        for label, message in report.failures:
-            lines.append(f"  {label}: {message}")
+        tail.append("\nerrors:")
+        tail.extend(f"\n  {label}: {message}" for label, message in report.failures)
     if report.disagreements:
-        lines.append("disagreements:")
-        for label_a, label_b in report.disagreements:
-            lines.append(f"  {label_a} vs {label_b}")
-    lines.append("agreement: " + ("yes" if report.agreement else "no"))
-    return "\n".join(lines)
+        tail.append("\ndisagreements:")
+        tail.extend(f"\n  {label_a} vs {label_b}" for label_a, label_b in report.disagreements)
+    tail.append("\nagreement: " + ("yes" if report.agreement else "no"))
+    return _write_table(
+        f"evidence probability: {evidence:.6f}",
+        list(zip(("strategy", "leader", "score"), ("-s", "-s", "s"), widths)),
+        rows,
+        tail,
+    )
 
 
 def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
@@ -602,15 +584,14 @@ def _cmd_diagnose(args: argparse.Namespace, bundle: ParsedBundle, query: Query) 
                 "rounded": {"evidence_probability": round(evidence, 4)},
             }
             return _print_json(payload)
-        return _print(_render_report(model, report, evidence))
-    rank = _RANKERS[Strategy(args.strategy)]
-    ranking = rank(query)
+        return _write_report(model, report, evidence)
+    ranking = _RANKERS[Strategy(args.strategy)](query)
     if args.fmt == "json":
         payload = _ranking_payload(model, ranking)
         payload["evidence_probability"] = evidence
         payload["rounded"]["evidence_probability"] = round(evidence, 4)
         return _print_json(payload)
-    return _render_ranking(model, ranking, evidence)
+    return _write_ranking(model, ranking, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -636,32 +617,27 @@ def _treatment_payload(decision: TreatmentDecision | None) -> dict | None:
     }
 
 
-def _cmd_treat(
-    args: argparse.Namespace, bundle: ParsedBundle, observations: ObservationSet
-) -> int:
+def _cmd_treat(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
     if bundle.utility is None:
         raise DiagnoscopeError("no utility model given (use --utility or utility lines)")
-    decision = optimal_treatment(
-        bundle.model, observations, bundle.utility, bundle.treatments
-    )
+    decision = optimal_treatment(query.model, query.observations, bundle.utility, bundle.treatments)
     if args.fmt == "json":
         return _print_json(_treatment_payload(decision))
-    lines = [
-        "chosen: " + _braced(sorted(decision.chosen)),
-        f"expected utility: {_dollars(decision.expected_utility)}",
-    ]
+    print("chosen: " + _braced(sorted(decision.chosen)))
+    print(f"expected utility: {_dollars(decision.expected_utility)}")
     if decision.per_treatment_breakdown is not None:
-        lines.append("breakdown:")
+        print("breakdown:")
         for tid, value in decision.per_treatment_breakdown.items():
-            lines.append(f"  {tid} {_dollars(value)}")
-    return _print("\n".join(lines))
+            print(f"  {tid} {_dollars(value)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # cover
 
 
-def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
+def _cmd_cover(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
+    table, model = query.table, query.model
     prefix = covering_mass_set(table, args.mass)
     posteriors = [table.posteriors[index] for index in prefix]
     cumulative = list(itertools.accumulate(posteriors))
@@ -677,20 +653,24 @@ def _cmd_cover(args: argparse.Namespace, table: PosteriorTable) -> int:
             },
         }
         return _print_json(payload)
-    model = table.theory.model
-    header, row = _layout(
+    return _write_table(
+        f"evidence probability: {table.evidence_probability:.6f}\nmass: {args.mass}",
         [
             ("rank", "d", len(str(len(prefix)))),
             ("index", "d", len(str(max(prefix)))),
             ("interpretation", "-s", _interpretation_width(model, max(map(int.bit_count, prefix)))),
             ("posterior", ".4f", 6),
             ("cumulative", ".4f", 6),
-        ]
+        ],
+        zip(itertools.count(1), prefix, map(_interpretation_text(model), prefix), posteriors, cumulative),
     )
-    text = _interpretation_text(model)
-    rows = zip(itertools.count(1), prefix, map(text, prefix), posteriors, cumulative)
-    write = sys.stdout.write
-    write(f"evidence probability: {table.evidence_probability:.6f}\nmass: {args.mass}\n{header}")
-    _write_each(write, map(row.__mod__, rows), "\n")
-    write("\n")
-    return 0
+
+
+# Every command answers (args, bundle, query); check has no query.
+_COMMANDS = {
+    "check": _cmd_check,
+    "interpretations": _cmd_interpretations,
+    "diagnose": _cmd_diagnose,
+    "treat": _cmd_treat,
+    "cover": _cmd_cover,
+}

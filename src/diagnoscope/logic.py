@@ -66,12 +66,18 @@ class Scenario:
 
 
 def clark_completion(model: FaultModel) -> CompletedTheory:
-    """Define each rule-defined observable as the disjunction of its bodies."""
+    """Define each rule-defined observable as the disjunction of its bodies.
+    A body atom must be a hypothesis (``validate_model``): an observable
+    there could define itself through a cycle."""
     definitions: dict[str, Formula] = {}
     for observable in model.observables:
         rules = model.rules_by_head.get(observable.id, ())
         if not rules:
             continue
+        for rule in rules:
+            for name in rule.body:
+                if not model.is_hypothesis(name):
+                    raise UnknownAtomError(f"rule body atom '{name}' is not a hypothesis")
         bodies = [conjunction([Atom(name) for name in rule.body]) for rule in rules]
         definitions[observable.id] = disjunction(bodies)
     return CompletedTheory(model, definitions)

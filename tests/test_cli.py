@@ -198,6 +198,35 @@ def test_cover_rejects_bad_mass(capsys):
     assert "mass" in err
 
 
+_IMPOSSIBLE = "hypothesis A prior 0\nobservable E\nrule A => E\n"
+_TREATMENTS21 = "".join(f"treatment T{k} targets A\n" for k in range(21))
+_UTILITIES21 = "".join(f"utility T{k} treat-faulty 2 treat-ok -1 skip-faulty -3 skip-ok 0\n" for k in range(21))
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (_IMPOSSIBLE, ("cover", "--mass", "2"), "observation has zero probability"),
+        (
+            _IMPOSSIBLE + _TREATMENTS21 + _UTILITIES21,
+            ("treat",),
+            "treatment space too large: 21 treatments exceed the cap of 20",
+        ),
+        (_IMPOSSIBLE + _TREATMENTS21, ("treat",), "no utility model given (use --utility or utility lines)"),
+        (_IMPOSSIBLE + _TREATMENTS21 + _UTILITIES21, ("diagnose", "--strategy", "all"), "observation has zero probability"),
+    ],
+    ids=["cover", "treat cap", "treat utility", "diagnose all"],
+)
+def test_error_precedence(capsys, tmp_path, text, argv, message):
+    """Where a query has several faults, one error wins: every answer but
+    ``treat`` reads the posterior table first, and ``treat`` checks its
+    utility model and then the treatment cap before the table."""
+    path = tmp_path / "model.fdl"
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--observe", "E")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_parse_error_exit_code_and_location(capsys, tmp_path):
     path = tmp_path / "bad.fdl"
     for text, location in [("rule B & => E\n", "1:8"), ("hypothesis A prior \u00b2\n", "1:20")]:

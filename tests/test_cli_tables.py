@@ -193,6 +193,33 @@ def test_the_models_reach_the_edges():
         assert sum(1 for p in table.posteriors if p > 0.0) > 1
 
 
+# 2^14 rows that all tie: the MPE ties line is as long as the table.
+_TIED = "".join(f"hypothesis H{k} prior 0.5\n" for k in range(14)) + "observable E free\n"
+
+
+@pytest.mark.parametrize("argv", _WIDE_ARGVS, ids=" ".join)
+def test_tables_are_written_in_chunks(monkeypatch, tmp_path, argv):
+    """No write carries the whole text, and no write the whole MPE ties
+    line: the rows and the tied labels go out a few thousand at a time."""
+    path = tmp_path / "model.fdl"
+    path.write_text(_TIED)
+    writes: list[str] = []
+
+    class Recorder:
+        def write(self, text: str) -> int:
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr("sys.stdout", Recorder())
+    assert run_cli([argv[0], str(path), *argv[1:]]) == 0
+    text = "".join(writes)
+    assert_same_text(text, _reference(argv, _TIED, ()))
+    assert max(map(len, writes)) < len(text) / 4
+    if argv[0] == "diagnose":
+        ties = text.splitlines()[-1]
+        assert ties.startswith("ties: ") and len(ties) > len(text) / 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

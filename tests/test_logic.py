@@ -82,6 +82,21 @@ def test_completion_emits_nothing_for_free_observables():
     assert "F" not in clark_completion(model).definitions
 
 
+def test_completion_rejects_observables_in_rule_bodies():
+    """Bodies that name observables in a cycle (E from F, F from E) would
+    expand without end; the completion names the first such atom."""
+    model = FaultModel(
+        (Hypothesis("A", 0.1),),
+        (ObservableVar("E"), ObservableVar("F")),
+        (CausalRule(("F",), "E"), CausalRule(("E",), "F"), CausalRule(("A",), "E")),
+    )
+    message = "^rule body atom 'F' is not a hypothesis$"
+    with pytest.raises(UnknownAtomError, match=message):
+        clark_completion(model)
+    with pytest.raises(UnknownAtomError, match=message):
+        posterior_table(model, ObservationSet.of("E"))
+
+
 def test_evaluate_expands_observables(circuit4):
     theory = clark_completion(circuit4)
     assert scenario_explains(theory, row(circuit4, 0b0111), Atom("E"))  # A faulty
