@@ -32,9 +32,7 @@ from .model import FaultModel, ObservationSet
 from .probability import Query, covering_mass_set
 from .strategies import (
     _RANKERS,
-    Candidate,
     RankedDiagnoses,
-    RowCandidates,
     Strategy,
     StrategyReport,
     _compare,
@@ -216,11 +214,11 @@ def _row_text(choices: list[tuple[str, str]]) -> Callable[[int], str]:
     return lambda index: high_texts[index >> low] + low_texts[index & mask]
 
 
-def _interpretation_text(model: FaultModel) -> Callable[[int], str]:
-    """A row's interpretation text from its index: ``A !B ...``."""
-    return _row_text(
-        [(f" {name}", f" !{name}") if k else (name, f"!{name}") for k, name in enumerate(model.hypothesis_ids)]
-    )
+def _interpretation_text(model: FaultModel, lead: str = "") -> Callable[[int], str]:
+    """A row's interpretation text from its index: ``lead`` and then
+    ``A !B ...``, so that with no hypotheses it is ``lead`` alone."""
+    spaces = [lead] + [" "] * (len(model.hypotheses) - 1)
+    return _row_text([(f"{space}{name}", f"{space}!{name}") for space, name in zip(spaces, model.hypothesis_ids)])
 
 
 def _interpretation_width(model: FaultModel, normal: int) -> int:
@@ -465,67 +463,54 @@ def _cmd_interpretations(args: argparse.Namespace, bundle: ParsedBundle, query: 
 # diagnose
 
 
-def _scores(candidates: Sequence[Candidate]) -> Iterable[float]:
-    """The candidates' scores; an MPE view's are read from its table."""
-    if isinstance(candidates, RowCandidates):
-        return candidates.scores()
-    return (candidate.score for candidate in candidates)
-
-
 def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
-    """A ranking as JSON. The MPE ranking has one candidate per table row,
-    so its fault sets are written from their row indices."""
+    """A ranking as JSON, its fault sets written from their row indices.
+    The MPE ranking, one candidate per table row, also lists the indices."""
     candidates, leader = ranking.candidates, ranking.leader
-
-    def fault_sets(ranked: Sequence[Candidate]) -> list | _Rows:
-        if isinstance(ranked, RowCandidates):
-            return _Rows(partial(_fault_set_items, model, ranked.indices))
-        return [_fault_set_list(model, candidate.fault_set) for candidate in ranked]
-
     payload: dict = {
         "strategy": ranking.strategy.value,
-        "candidates": fault_sets(candidates),
-        "scores": _numbers(_scores(candidates)),
+        "candidates": _Rows(partial(_fault_set_items, model, candidates.indices)),
+        "scores": _numbers(candidates.scores()),
         "leader": _fault_set_list(model, leader.fault_set) if leader is not None else None,
-        "ties": fault_sets(ranking.ties),
-        "rounded": {"scores": _numbers(round(score, 4) for score in _scores(candidates))},
+        "ties": _Rows(partial(_fault_set_items, model, ranking.ties.indices)),
+        "rounded": {"scores": _numbers(round(score, 4) for score in candidates.scores())},
     }
-    if isinstance(candidates, RowCandidates):
+    if ranking.strategy is Strategy.MPE:
         payload["indices"] = _Rows(lambda newline: map(int.__repr__, candidates.indices))
     return payload
 
 
 def _write_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float) -> int:
     """A ranking as a table, then its leader and, when several candidates
-    tie, the ties. An MPE row is written ``[index] A !B ...``: the last
-    row, every hypothesis normal, has the widest text and index."""
+    tie, the ties. A candidate is written as its fault set ``{A,B}``, or
+    for MPE as its row ``[index] A !B ...``: the last row, every hypothesis
+    normal, has the widest text and index."""
     head = f"strategy: {ranking.strategy.value}\nevidence probability: {evidence:.6f}"
     candidates = ranking.candidates
     if not candidates:
         print(head + "\nno candidates")
         return 0
-    if isinstance(candidates, RowCandidates):
-        text = _interpretation_text(model)
+    if ranking.strategy is Strategy.MPE:
+        text = _interpretation_text(model, " ")
 
         def label(index: int) -> str:
-            return f"[{index}] {text(index)}"
+            return f"[{index}]{text(index)}"
 
         width = len(str(len(candidates) - 1)) + 3 + _interpretation_width(model, len(model.hypotheses))
-        labels: Iterable[str] = map(label, candidates.indices)
-        leader = label(candidates.indices[0])
-        tied: Iterable[str] = map(label, ranking.ties.indices)
     else:
-        labels = [_fault_set_text(model, candidate.fault_set) for candidate in candidates]
-        width = max(map(len, labels))
-        leader = labels[0]
-        tied = [_fault_set_text(model, candidate.fault_set) for candidate in ranking.ties]
-    tail: Iterable[str] = [f"\nleader: {leader}"]
+        names = _row_text([("," + name, "") for name in model.hypothesis_ids])
+
+        def label(index: int) -> str:
+            return "{" + names(index)[1:] + "}"
+
+        width = max(len(label(index)) for index in candidates.indices)
+    tail: Iterable[str] = [f"\nleader: {label(candidates.indices[0])}"]
     if len(ranking.ties) > 1:
-        tail = itertools.chain(tail, ["\nties:"], map(" ".__add__, tied))
+        tail = itertools.chain(tail, ["\nties:"], (" " + label(index) for index in ranking.ties.indices))
     return _write_table(
         head,
         [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", ".4f", 6)],
-        zip(itertools.count(1), labels, _scores(candidates)),
+        zip(itertools.count(1), map(label, candidates.indices), candidates.scores()),
         tail,
     )
 

@@ -222,10 +222,10 @@ def _closure(rows: int, count: int, up: bool) -> int:
     return rows
 
 
-def _minimal_fault_sets(model: FaultModel, family: int) -> list[frozenset[str]]:
-    """The set-inclusion-minimal fault sets of a family, given as the row
-    mask of its members' exact-fault rows; ordered by cardinality then
-    declaration order."""
+def _minimal_fault_sets(model: FaultModel, family: int) -> list[int]:
+    """The set-inclusion-minimal members of a family of fault sets, each
+    set its exact-fault row, the family their row mask; ordered by
+    cardinality then declaration order."""
     count = len(model.hypotheses)
     supersets = _closure(family, count, up=False)
     for k in range(count):
@@ -239,7 +239,7 @@ def _minimal_fault_sets(model: FaultModel, family: int) -> list[frozenset[str]]:
     rows = sorted(rows, key=lambda row: -row.bit_count())
     if not rows:
         raise UnexplainableObservationError("observation unexplainable")
-    return [frozenset(interpretation_at(model, row).true_ids()) for row in rows]
+    return rows
 
 
 def consistency_diagnoses(
@@ -248,8 +248,8 @@ def consistency_diagnoses(
     """Minimal fault sets whose exact-fault interpretation satisfies the
     facts and observations; ordered by cardinality then declaration order."""
     check_observations(theory.model, observations)
-    good = _possible_rows(theory, observations.literals)
-    return _minimal_fault_sets(theory.model, good)
+    rows = _minimal_fault_sets(theory.model, _possible_rows(theory, observations.literals))
+    return [frozenset(interpretation_at(theory.model, row).true_ids()) for row in rows]
 
 
 def abductive_explanations(
@@ -259,8 +259,8 @@ def abductive_explanations(
     every fact-satisfying extension; same ordering as consistency_diagnoses."""
     _check_abducible(theory.model, observations)
     facts = _possible_rows(theory, ())
-    good = facts & _rows(theory, _literals(observations.literals))
-    return _explanations(theory.model, facts, good)
+    rows = _explanations(theory.model, facts, facts & _rows(theory, _literals(observations.literals)))
+    return [frozenset(interpretation_at(theory.model, row).true_ids()) for row in rows]
 
 
 def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:
@@ -273,9 +273,9 @@ def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:
             )
 
 
-def _explanations(model: FaultModel, facts: int, good: int) -> list[frozenset[str]]:
-    """The minimal explaining fault sets, from the row masks of the facts
-    and of the facts and observations."""
+def _explanations(model: FaultModel, facts: int, good: int) -> list[int]:
+    """The exact-fault rows of the minimal explaining fault sets, from the
+    row masks of the facts and of the facts and observations."""
     count = len(model.hypotheses)
     # S explains when some fact row makes all of S faulty, and no fact row
     # that contradicts the observations does.

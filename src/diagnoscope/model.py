@@ -217,10 +217,8 @@ def validate_model(model: FaultModel) -> list[ValidationFinding]:
     for rule in model.rules:
         for atom in rule.body:
             if not model.is_hypothesis(atom):
-                add(
-                    "unknown-hypothesis",
-                    f"unknown hypothesis: rule body atom '{atom}' is not declared",
-                )
+                kind = "an observable, not a hypothesis" if model.is_observable(atom) else "not declared"
+                add("unknown-hypothesis", f"unknown hypothesis: rule body atom '{atom}' is {kind}")
         if not model.is_observable(rule.head):
             add(
                 "unknown-observable",

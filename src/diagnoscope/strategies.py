@@ -10,12 +10,13 @@ different reading of the question:
 * consistency: minimal fault sets consistent with the observations;
 * abductive: minimal fault sets entailing the observations.
 
-Posterior, consistency and abduction share one scorer (``_scored``), the
-posterior mass of a fault set's positive conjunction, and differ only in
-the fault sets they score; a mass one of them has summed is not summed
-again for the others or for a treatment target (``Query.mass``). Every
-ranker but MPE's ends in one stable sort that takes the ties
-(``_ranked``).
+Every ranking is a view over rows of the posterior table, a fault set
+standing for its exact-fault row (``RowCandidates``). Posterior,
+consistency and abduction share one scorer (``_scored``), the posterior
+mass of a fault set's positive conjunction, and differ only in the rows
+they score; a mass one of them has summed is not summed again for the
+others or for a treatment target (``Query.mass``). Every ranker but
+MPE's ends in one stable sort that takes the ties (``_ranked``).
 
 They can disagree on the same input; compare_strategies runs all of them
 and flags every pair whose leaders differ once projected to fault sets.
@@ -39,7 +40,6 @@ from .model import (
     ObservationSet,
     TreatmentAction,
     UtilityModel,
-    index_of_assignment,
 )
 from .probability import (
     TIE_EPSILON,
@@ -59,20 +59,27 @@ class Strategy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Candidate:
-    """One ranked answer: a fault set with its score; an MPE candidate is a
-    row of the posterior table and also carries its index, which
-    ``model.interpretation_at`` decodes into the full interpretation."""
+    """One ranked answer: a fault set, its score and ``index``, the row of
+    the posterior table on which exactly that set is faulty. For MPE the
+    answer is that row, which ``model.interpretation_at`` decodes."""
 
     fault_set: frozenset[str]
     score: float
-    index: int | None = None
+    index: int
+
+
+def _faulty(ids: tuple[str, ...], index: int) -> Iterator[str]:
+    """The hypotheses faulty on row ``index``: those whose bit is 0."""
+    last = len(ids) - 1
+    return (name for k, name in enumerate(ids) if not index >> (last - k) & 1)
 
 
 class RowCandidates(Sequence):
     """Rows of a posterior table as a read-only sequence of candidates, in
-    the order of ``indices``. Indexing builds the one ``Candidate`` asked
-    for, its fault set decoded from the bits of the row index, so a ranking
-    of all 2^m rows holds one int per row and no other per-row object.
+    the order of ``indices``, each scored ``posteriors[index]``. Indexing
+    builds the one ``Candidate`` asked for, its fault set decoded from the
+    bits of the row index, so a ranking of all 2^m rows holds one int per
+    row and no other per-row object.
 
     Two views are equal when they are over the same hypotheses and hold
     the same rows with the same scores in the same order. Like a ``range``,
@@ -80,16 +87,13 @@ class RowCandidates(Sequence):
 
     __slots__ = ("ids", "indices", "posteriors")
 
-    def __init__(self, ids: tuple[str, ...], indices: list[int], posteriors: tuple[float, ...]):
+    def __init__(self, ids: tuple[str, ...], indices: list[int], posteriors: Sequence[float] | dict[int, float]):
         self.ids = ids
         self.indices = indices
         self.posteriors = posteriors
 
     def _candidate(self, index: int) -> Candidate:
-        ids = self.ids
-        last = len(ids) - 1
-        fault_set = frozenset(name for k, name in enumerate(ids) if not index >> (last - k) & 1)
-        return Candidate(fault_set, self.posteriors[index], index)
+        return Candidate(frozenset(_faulty(self.ids, index)), self.posteriors[index], index)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -121,13 +125,12 @@ class RowCandidates(Sequence):
 
 @dataclass(frozen=True)
 class RankedDiagnoses:
-    """A strategy's candidates, best first, and the ties for the lead. The
-    MPE ranking's ``candidates`` and ``ties`` are ``RowCandidates`` views
-    over the rows of the posterior table; the others are tuples."""
+    """A strategy's candidates, best first, and the ties for the lead, each
+    a ``RowCandidates`` view over rows of the posterior table."""
 
     strategy: Strategy
-    candidates: Sequence[Candidate]
-    ties: Sequence[Candidate]
+    candidates: RowCandidates
+    ties: RowCandidates
 
     @property
     def leader(self) -> Candidate | None:
@@ -147,31 +150,41 @@ class StrategyReport:
     treatment: TreatmentDecision | None = None
 
 
-def _ranked(strategy: Strategy, candidates: list[Candidate]) -> RankedDiagnoses:
-    """Sort stably by descending score, so that equal scores keep the order
-    the candidates come in, and take the ties within TIE_EPSILON of the top."""
-    candidates.sort(key=lambda c: -c.score)
-    top = candidates[0].score if candidates else 0.0
-    ties = tuple(c for c in candidates if c.score >= top - TIE_EPSILON)
-    return RankedDiagnoses(strategy, tuple(candidates), ties)
+def _ranked(
+    query: Query, strategy: Strategy, rows: list[int], score_of: Sequence[float] | dict[int, float]
+) -> RankedDiagnoses:
+    """Sort the rows stably by descending ``score_of[row]``, so that equal
+    scores keep the order the rows come in, and take the ties within
+    TIE_EPSILON of the top."""
+    rows.sort(key=score_of.__getitem__, reverse=True)
+    top = score_of[rows[0]] if rows else 0.0
+    ties = [row for row in rows if score_of[row] >= top - TIE_EPSILON]
+    ids = query.model.hypothesis_ids
+    return RankedDiagnoses(strategy, RowCandidates(ids, rows, score_of), RowCandidates(ids, ties, score_of))
 
 
-def _scored(query: Query, strategy: Strategy, fault_sets: list[frozenset[str]]) -> RankedDiagnoses:
-    """Rank fault sets by the posterior mass of their positive literals."""
-    candidates = [Candidate(s, query.mass((n, True) for n in s)) for s in fault_sets]
-    return _ranked(strategy, candidates)
+def _scored(query: Query, strategy: Strategy, rows: list[int]) -> RankedDiagnoses:
+    """Rank exact-fault rows by the posterior mass of their fault sets."""
+    ids = query.model.hypothesis_ids
+    masses = {row: query.mass((name, True) for name in _faulty(ids, row)) for row in rows}
+    return _ranked(query, strategy, rows, masses)
+
+
+def _singletons(model: FaultModel) -> list[int]:
+    """The exact-fault row of each hypothesis, in declaration order: every
+    index bit set but that hypothesis's own."""
+    count = len(model.hypotheses)
+    return [(1 << count) - 1 - (1 << (count - 1 - k)) for k in range(count)]
 
 
 def _rank_single_fault(query: Query) -> RankedDiagnoses:
-    model, posteriors = query.model, query.table.posteriors
-    scores = {h: posteriors[index_of_assignment(model, {h})] for h in model.hypothesis_ids}
-    possible = [Candidate(frozenset({h}), p) for h, p in scores.items() if p > 0.0]
-    return _ranked(Strategy.SINGLE_FAULT, possible)
+    posteriors = query.table.posteriors
+    possible = [row for row in _singletons(query.model) if posteriors[row] > 0.0]
+    return _ranked(query, Strategy.SINGLE_FAULT, possible, posteriors)
 
 
 def _rank_posterior(query: Query) -> RankedDiagnoses:
-    singletons = [frozenset({name}) for name in query.model.hypothesis_ids]
-    return _scored(query, Strategy.POSTERIOR, singletons)
+    return _scored(query, Strategy.POSTERIOR, _singletons(query.model))
 
 
 def _rank_mpe(query: Query) -> RankedDiagnoses:

@@ -297,10 +297,12 @@ def strategy_rankings(
     tie_epsilon: float,
 ) -> dict[str, tuple[list[tuple], list[tuple]]]:
     """Every strategy's (candidates, ties) from the posterior rows and the
-    minimal fault sets; a candidate is (fault set, score, row index or
-    None). A search that finds no set leaves its strategy out."""
+    minimal fault sets; a candidate is (fault set, score, index of the row
+    on which exactly that set is faulty). A search that finds no set leaves
+    its strategy out."""
     order = {h.id: k for k, h in enumerate(model.hypotheses)}
     faults = fault_sets_by_index(model)
+    row_of = {faulty: index for index, faulty in enumerate(faults)}
 
     def declared(fault_set):
         return sorted(order[name] for name in fault_set)
@@ -312,11 +314,13 @@ def strategy_rankings(
         return [c for c in candidates if c[1] >= top - tie_epsilon]
 
     single = [
-        (faulty, row, None) for faulty, row in zip(faults, rows) if len(faulty) == 1 and row > 0.0
+        (faulty, row, index)
+        for index, (faulty, row) in enumerate(zip(faults, rows))
+        if len(faulty) == 1 and row > 0.0
     ]
     single.sort(key=lambda c: (-c[1], declared(c[0])))
     posterior = [
-        (frozenset({h.id}), fault_set_mass(model, rows, frozenset({h.id})), None)
+        (frozenset({h.id}), fault_set_mass(model, rows, frozenset({h.id})), row_of[frozenset({h.id})])
         for h in model.hypotheses
     ]
     posterior.sort(key=lambda c: (-c[1], declared(c[0])))
@@ -333,7 +337,7 @@ def strategy_rankings(
     for strategy, sets in (("consistency", consistent), ("abductive", explaining)):
         if not sets:
             continue
-        scored = [(s, fault_set_mass(model, rows, s), None) for s in sets]
+        scored = [(s, fault_set_mass(model, rows, s), row_of[s]) for s in sets]
         scored.sort(key=lambda c: (-c[1], len(c[0]), declared(c[0])))
         out[strategy] = (scored, ties(scored))
     return out

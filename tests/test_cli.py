@@ -543,17 +543,16 @@ def test_one_completion_and_mask_per_query(capsys, monkeypatch, tmp_path, strate
         (("cover", "--mass", "0.5"), 0),
         (("diagnose", "--strategy", "mpe"), 0),
         (("diagnose", "--strategy", "mpe", "--format", "json"), 0),
-        (("diagnose", "--strategy", "all"), 6),
-        (("diagnose", "--strategy", "all", "--format", "json"), 6),
+        (("diagnose", "--strategy", "all"), 0),
+        (("diagnose", "--strategy", "all", "--format", "json"), 0),
         (("interpretations",), 0),
         (("interpretations", "--format", "json"), 0),
     ],
 )
 def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, argv, built):
-    """A row is its index into the posteriors: the rankers build no
-    Interpretation, and the renderers look each row's text up by its
-    index. Only the minimal-set searches decode their results, 3 sets
-    each."""
+    """A row is its index into the posteriors: the rankers and the
+    minimal-set searches build no Interpretation, and the renderers look
+    each row's text up by its index."""
     from diagnoscope.model import Interpretation
 
     constructed = [0]
@@ -574,26 +573,26 @@ def test_rows_become_interpretations_only_where_printed(capsys, monkeypatch, arg
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (("diagnose", "--strategy", "single-fault"), 1),
-        (("diagnose", "--strategy", "posterior"), 4),
+        (("diagnose", "--strategy", "single-fault"), 0),
+        (("diagnose", "--strategy", "single-fault", "--format", "json"), 1),
+        (("diagnose", "--strategy", "posterior"), 0),
         (("diagnose", "--strategy", "mpe"), 0),
         (("diagnose", "--strategy", "mpe", "--format", "json"), 1),
-        (("diagnose", "--strategy", "consistency"), 3),
-        (("diagnose", "--strategy", "abductive"), 3),
-        (("diagnose", "--strategy", "all"), 13),
-        (("diagnose", "--strategy", "all", "--format", "json"), 13),
+        (("diagnose", "--strategy", "consistency"), 0),
+        (("diagnose", "--strategy", "abductive", "--format", "json"), 1),
+        (("diagnose", "--strategy", "all"), 10),
+        (("diagnose", "--strategy", "all", "--format", "json"), 10),
         (("interpretations",), 0),
         (("cover", "--mass", "0.5"), 0),
         (("treat", "--utility", UNIT_GAIN), 0),
     ],
 )
 def test_candidates_built_per_command(capsys, monkeypatch, argv, built):
-    """One Candidate per ranked answer: single-fault keeps only its
-    possible hypothesis, posterior scores all 4 and each search returns 3
-    minimal sets. The MPE ranking is a view over the 16 rows that builds a
-    Candidate only when one is asked for: none for its table, its leader
-    for JSON, and its leader twice for the comparison (once for the
-    report, once to print it). The commands that print rows build none."""
+    """Every ranking is a view over rows that builds a Candidate only when
+    one is asked for. A table is written from the row indices and builds
+    none; JSON builds the leader, for its "leader" key. The comparison
+    builds each of its 5 leaders twice: once for the report, once to
+    print it. The commands that print rows build none."""
     from diagnoscope.strategies import Candidate
 
     constructed = [0]

@@ -52,7 +52,8 @@ def _ranking_reference(model, ranking, evidence: float) -> str:
         return "\n".join(lines + ["no candidates"]) + "\n"
     if ranking.strategy is Strategy.MPE:
         def text(candidate):
-            return f"[{candidate.index}] {_interpretation_text(model, candidate.index)}"
+            # With no hypotheses the interpretation text is empty: "[0]".
+            return f"[{candidate.index}] {_interpretation_text(model, candidate.index)}".rstrip()
     else:
         def text(candidate):
             return _fault_set_text(model, candidate.fault_set)

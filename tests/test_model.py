@@ -60,7 +60,25 @@ def test_unknown_rule_body_atom_finding():
         observables=(ObservableVar("E"),),
         rules=(CausalRule(("A", "Z"), "E"),),
     )
-    assert [f.code for f in validate_model(model)] == ["unknown-hypothesis"]
+    findings = validate_model(model)
+    assert [f.code for f in findings] == ["unknown-hypothesis"]
+    assert findings[0].message == "unknown hypothesis: rule body atom 'Z' is not declared"
+
+
+def test_observable_rule_body_atom_finding():
+    """An observable in a rule body is named as an observable, not as
+    undeclared, under the same code."""
+    model = FaultModel(
+        hypotheses=(Hypothesis("A", 0.1),),
+        observables=(ObservableVar("E"), ObservableVar("F")),
+        rules=(CausalRule(("F",), "E"), CausalRule(("E",), "F"), CausalRule(("A",), "E")),
+    )
+    findings = validate_model(model)
+    assert [f.code for f in findings] == ["unknown-hypothesis"] * 2
+    assert [f.message for f in findings] == [
+        "unknown hypothesis: rule body atom 'F' is an observable, not a hypothesis",
+        "unknown hypothesis: rule body atom 'E' is an observable, not a hypothesis",
+    ]
 
 
 def test_undefined_observable_needs_free():

@@ -45,7 +45,7 @@ def test_single_fault_circuit4(circuit4, observe_current):
     ranking = diagnose_single_fault(circuit4, observe_current)
     assert [c.fault_set for c in ranking.candidates] == [frozenset({"A"})]
     assert ranking.leader.score == pytest.approx(0.2816, abs=5e-4)
-    assert ranking.ties == (ranking.leader,)
+    assert tuple(ranking.ties) == (ranking.leader,)
 
 
 def test_single_fault_without_current(circuit4):
@@ -66,7 +66,7 @@ def test_single_fault_can_be_empty():
         rules=(CausalRule(("A", "B"), "E"),),
     )
     ranking = diagnose_single_fault(model, ObservationSet.of("E"))
-    assert ranking.candidates == ()
+    assert tuple(ranking.candidates) == ()
     assert ranking.leader is None
 
 
@@ -102,50 +102,73 @@ def test_mpe_circuit4(circuit4, observe_current):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_mpe_candidates_are_a_view_over_the_rows(circuit4, observe_current):
-    """The MPE ranking holds row indices; each Candidate is built when it
-    is asked for, with its fault set decoded from the index bits."""
-    ranking = diagnose_mpe(circuit4, observe_current)
+RANKERS = {
+    Strategy.SINGLE_FAULT: diagnose_single_fault,
+    Strategy.POSTERIOR: diagnose_posterior,
+    Strategy.MPE: diagnose_mpe,
+    Strategy.CONSISTENCY: diagnose_consistency,
+    Strategy.ABDUCTIVE: diagnose_abductive,
+}
+
+
+@pytest.mark.parametrize("strategy", list(RANKERS), ids=lambda s: s.value)
+def test_candidates_are_a_view_over_the_rows(circuit4, observe_current, strategy):
+    """Every ranking holds row indices, each the row on which exactly its
+    fault set is faulty; each Candidate is built when it is asked for,
+    with its fault set decoded from the index bits. Single fault and MPE
+    score a row by its posterior, the others by the mass of its fault set."""
+    ranking = RANKERS[strategy](circuit4, observe_current)
     candidates = ranking.candidates
     assert isinstance(candidates, collections.abc.Sequence)
     assert isinstance(candidates, RowCandidates)
+    assert isinstance(ranking.ties, RowCandidates)
     table = posterior_table(circuit4, observe_current)
     for position, candidate in enumerate(candidates):
         assert candidate == candidates[position] == candidates[position - len(candidates)]
+        assert candidate.index == index_of_assignment(circuit4, candidate.fault_set)
         assert candidate.fault_set == frozenset(interpretation_at(circuit4, candidate.index).true_ids())
-        assert candidate.score == table.posteriors[candidate.index]
+        if strategy in (Strategy.SINGLE_FAULT, Strategy.MPE):
+            assert candidate.score == table.posteriors[candidate.index]
+        else:
+            positive = conjunction([Atom(name) for name in candidate.fault_set])
+            assert candidate.score == marginal(table, positive)
+    for candidate in ranking.ties:
+        assert candidate.index == index_of_assignment(circuit4, candidate.fault_set)
     assert candidates[-1] == tuple(candidates)[-1]
-    assert tuple(candidates[2:5]) == tuple(candidates)[2:5]
+    assert tuple(candidates[1:3]) == tuple(candidates)[1:3]
     assert list(reversed(candidates)) == list(candidates)[::-1]
-    assert candidates.index(candidates[3]) == 3
+    assert candidates.index(candidates[-1]) == len(candidates) - 1
     assert list(candidates.scores()) == [c.score for c in candidates]
     with pytest.raises(IndexError):
-        candidates[16]
+        candidates[len(candidates)]
     assert tuple(ranking.ties) == (ranking.leader,)
 
 
-def test_mpe_rankings_compare_by_rows_and_scores(circuit4, observe_current):
-    """Two MPE rankings are equal when they rank the same rows of the same
+@pytest.mark.parametrize("strategy", list(RANKERS), ids=lambda s: s.value)
+def test_rankings_compare_by_rows_and_scores(circuit4, observe_current, strategy):
+    """Two rankings are equal when they rank the same rows of the same
     hypotheses with equal scores; a view is never equal to a tuple."""
-    ranking = diagnose_mpe(circuit4, observe_current)
-    again = diagnose_mpe(make_circuit4(), ObservationSet.of("E"))
+    diagnose = RANKERS[strategy]
+    ranking = diagnose(circuit4, observe_current)
+    again = diagnose(make_circuit4(), ObservationSet.of("E"))
     assert ranking.candidates.posteriors is not again.candidates.posteriors
     assert ranking == again
     assert hash(ranking) == hash(again)
     assert ranking.candidates != tuple(ranking.candidates)
+    assert ranking.ties != tuple(ranking.ties)
     assert ranking.candidates[:3] == again.candidates[:3]
     assert ranking.candidates[:3] != again.candidates[1:4]
     view = ranking.candidates
-    halved = tuple(p / 2 for p in view.posteriors)
+    halved = {index: view.posteriors[index] / 2 for index in view.indices}
     assert RowCandidates(view.ids, view.indices, halved) != view
-    assert RowCandidates(view.ids, list(view.indices), tuple(list(view.posteriors))) == view
+    assert RowCandidates(view.ids, list(view.indices), dict(zip(view.indices, view.scores()))) == view
     # Same rows and scores, other hypotheses.
     renamed = FaultModel(
         tuple(Hypothesis(h.id.lower(), h.prior) for h in circuit4.hypotheses),
         circuit4.observables,
         tuple(CausalRule(tuple(n.lower() for n in r.body), r.head) for r in circuit4.rules),
     )
-    other = diagnose_mpe(renamed, observe_current)
+    other = diagnose(renamed, observe_current)
     assert list(other.candidates.scores()) == list(ranking.candidates.scores())
     assert other != ranking
 
