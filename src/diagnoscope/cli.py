@@ -8,9 +8,17 @@ set of interpretations reaching a posterior mass).
 Exit codes: 0 success, 1 domain errors (validation findings, impossible
 observations, ...), 2 usage, file or parse errors. Results go to stdout,
 diagnostics to stderr; output is byte-identical across runs on identical
-inputs. Tables round probabilities to 4 decimals; ``--format json`` adds
-full-precision values alongside the rounded ones, and is written exactly
-as ``json.dumps(payload, indent=2)`` spells it.
+inputs. Tables print probabilities as ``'%.4f'``; ``--format json`` adds
+full-precision values alongside ``round(x, 4)`` ones, and is written
+exactly as ``json.dumps(payload, indent=2)`` spells it.
+
+Every row-sized answer is written by maps at C speed, with no Python
+frame per row: a row's text joins two halves from tables of half-row
+texts, looked up by the high and low bits of its index
+(``_row_texts``, ``_row_fault_sets``) or taken in index order from their
+product; each row of a table or JSON list comes from one %-template; and
+the 4-place texts are spelled only for the rows that can show a digit
+(``_probabilities``, ``_descending``).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import math
+import operator
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -201,24 +209,69 @@ def _fault_set_text(model: FaultModel, fault_set: frozenset[str]) -> str:
     return _braced(_fault_set_list(model, fault_set))
 
 
-def _row_text(choices: list[tuple[str, str]]) -> Callable[[int], str]:
-    """The text of a row from its index: per hypothesis, in declaration
-    order, the first of its ``choices`` where it is faulty and the second
-    where it is normal. The text is looked up in two tables of half-row
-    texts, each in itertools.product order: one for the first hypotheses
-    (the high bits of the index) and one for the rest."""
-    low = len(choices) // 2
-    high_texts = ["".join(row) for row in itertools.product(*choices[: len(choices) - low])]
-    low_texts = ["".join(row) for row in itertools.product(*choices[len(choices) - low :])]
-    mask = (1 << low) - 1
-    return lambda index: high_texts[index >> low] + low_texts[index & mask]
+def _halves(choices: list[tuple[str, str]]) -> tuple[list[str], list[str]]:
+    """The texts of half rows: per hypothesis, in declaration order, the
+    first of its ``choices`` where it is faulty and the second where it is
+    normal. Two tables, each in itertools.product order: one for the first
+    hypotheses (the high bits of a row index) and one for the rest (the
+    low bits), so that a row's text is its two halves joined."""
+    split = len(choices) - len(choices) // 2
+    return (
+        ["".join(row) for row in itertools.product(*choices[:split])],
+        ["".join(row) for row in itertools.product(*choices[split:])],
+    )
 
 
-def _interpretation_text(model: FaultModel, lead: str = "") -> Callable[[int], str]:
-    """A row's interpretation text from its index: ``lead`` and then
-    ``A !B ...``, so that with no hypotheses it is ``lead`` alone."""
+def _looked_up(
+    heads: list[str], tails: list, join: Callable[[str, object], str]
+) -> Callable[[Sequence[int]], Iterator[str]]:
+    """The texts of the rows at some indices, in their order: each row's
+    head half, from its high bits, ``join``-ed to its tail half, from its
+    low bits, all by maps over the indices."""
+    low = len(tails).bit_length() - 1
+    mask = len(tails) - 1
+
+    def texts(indices: Sequence[int]) -> Iterator[str]:
+        high = map(heads.__getitem__, map(operator.rshift, indices, itertools.repeat(low)))
+        return map(join, high, map(tails.__getitem__, map(operator.and_, indices, itertools.repeat(mask))))
+
+    return texts
+
+
+def _row_texts(choices: list[tuple[str, str]]) -> Callable[[Sequence[int]], Iterator[str]]:
+    """The texts of rows from their indices, their two halves looked up."""
+    return _looked_up(*_halves(choices), operator.add)
+
+
+def _texts_in_index_order(choices: list[tuple[str, str]]) -> Iterator[str]:
+    """The text of every row, in index order: each head half followed by
+    every tail half."""
+    return itertools.starmap(operator.add, itertools.product(*_halves(choices)))
+
+
+def _interpretation_choices(model: FaultModel, lead: str = "") -> list[tuple[str, str]]:
+    """The choices of interpretation texts: ``lead`` and then ``A !B ...``,
+    so that with no hypotheses the text is ``lead`` alone."""
     spaces = [lead] + [" "] * (len(model.hypotheses) - 1)
-    return _row_text([(f"{space}{name}", f"{space}!{name}") for space, name in zip(spaces, model.hypothesis_ids)])
+    return [(f"{space}{name}", f"{space}!{name}") for space, name in zip(spaces, model.hypothesis_ids)]
+
+
+def _row_fault_sets(
+    keys: Iterable[str], opening: str, separator: str, closing: str, empty: str
+) -> Callable[[Sequence[int]], Iterator[str]]:
+    """The fault sets of rows from their indices: ``opening``, the ``keys``
+    of the faulty hypotheses with ``separator`` between each two and
+    ``closing``, or ``empty`` when none is faulty. Each head half is a
+    %-template that takes a pair of tail texts and keeps one of them:
+    after a faulty head hypothesis the first, which goes on with a
+    separator, and after an all-normal head the second, the whole text of
+    the tail alone. No key, ``opening`` or ``closing`` holds a ``%``:
+    identifiers are letters, digits, ``_`` and ``-``."""
+    heads, tails = _halves([(separator + key, "") for key in keys])
+    cut = len(separator)
+    heads = [opening + names[cut:] + "%s%.0s" + closing if names else "%.0s%s" for names in heads]
+    pairs = [(names, opening + names[cut:] + closing if names else empty) for names in tails]
+    return _looked_up(heads, pairs, operator.mod)
 
 
 def _interpretation_width(model: FaultModel, normal: int) -> int:
@@ -227,6 +280,46 @@ def _interpretation_width(model: FaultModel, normal: int) -> int:
     one. A row index has one bit set per normal hypothesis."""
     ids = model.hypothesis_ids
     return sum(map(len, ids)) + max(len(ids) - 1, 0) + normal
+
+
+# '%.4f' % x and round(x, 4) are zero for a float x >= 0 exactly when
+# x < _SHOWN: the float 5e-05 lies just above 0.00005, so it rounds up and
+# every float below it rounds down.
+_SHOWN = 5e-05
+
+
+def _fixed(values: Iterable[float]) -> Iterator[str]:
+    """Each value as a table spells it: ``'%.4f' % x``."""
+    return map("%.4f".__mod__, values)
+
+
+def _rounded(values: Iterable[float]) -> Iterator[str]:
+    """Each value as JSON ``rounded`` spells it: ``round(x, 4)`` as json
+    writes that float."""
+    return map(float.__repr__, map(round, values, itertools.repeat(4)))
+
+
+def _probabilities(
+    values: Sequence[float], spell: Callable[[Iterable[float]], Iterator[str]]
+) -> Iterator[str]:
+    """``spell`` (``_fixed`` or ``_rounded``) of each probability in
+    ``values``, in any order. A probability is never negative nor -0.0,
+    so each one below _SHOWN spells as zero and shares one text; each
+    distinct other value is spelled once. The posteriors of a table sum
+    to 1, so at most 20,000 of its rows are spelled."""
+    shown = set(filter(_SHOWN.__le__, values))
+    texts = dict(zip(shown, spell(shown)))
+    return map(texts.get, values, itertools.repeat(next(spell([0.0]))))
+
+
+def _descending(
+    values: Iterable[float], count: int, spell: Callable[[Iterable[float]], Iterator[str]]
+) -> Iterator[str]:
+    """``spell`` of each of ``count`` probabilities in descending order, as
+    ``_probabilities`` spells them: the ones at least _SHOWN are a prefix,
+    spelled one by one, and the rest share the text of zero."""
+    head = list(spell(itertools.takewhile(_SHOWN.__le__, values)))
+    return itertools.chain(head, itertools.repeat(next(spell([0.0])), count - len(head)))
 
 
 def _dollars(value: float) -> str:
@@ -239,9 +332,9 @@ def _layout(columns: list[tuple[str, str, int]]) -> tuple[str, str]:
     column as wide as its title or its widest value and two spaces apart,
     so that rows can be written one at a time. A column is (title,
     conversion, width of its widest value): conversion ``-s`` is text,
-    left-aligned; ``s``, ``d`` and ``.4f`` are right-aligned. A probability
-    in [0, 1] is 6 characters wide as ``.4f``. Every table ends in a
-    right-aligned column, so no line ends in spaces."""
+    left-aligned; ``s`` and ``d`` are right-aligned. A probability comes
+    as its text (``_fixed``), 6 characters wide in [0, 1]. Every table
+    ends in a right-aligned column, so no line ends in spaces."""
     widths = [max(len(title), width) for title, _, width in columns]
     header = "  ".join(
         title.ljust(width) if conversion == "-s" else title.rjust(width)
@@ -289,7 +382,9 @@ def _write_table(
 class _Rows:
     """A row-sized list in a JSON payload, which ``_print_json`` writes
     without building it: ``items(newline)`` yields the text of each item,
-    given the newline and indent that come before it."""
+    given the newline and indent that come before it. It is called once,
+    when the list is reached, and its items are read a few thousand at a
+    time (``_write_each``)."""
 
     __slots__ = ("items",)
 
@@ -365,24 +460,33 @@ def _encode(value: object, newline: str, parts: list[str], write: Callable[[str]
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# The json module's spelling of the floats whose repr is not JSON.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _float_text(value: float) -> str:
     """A float as json spells it: its repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    if value != value:
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
 def _numbers(values: Iterable[float]) -> _Rows:
-    """A row-sized list of floats."""
-    return _Rows(lambda newline: map(_float_text, values))
+    """A row-sized list of floats, each spelled as ``_float_text`` spells
+    it: one repr and one lookup per float, the repr teed to be its own
+    default."""
+
+    def items(newline: str) -> Iterator[str]:
+        texts, defaults = itertools.tee(map(float.__repr__, values))
+        return map(_NONFINITE.get, texts, defaults)
+
+    return _Rows(items)
 
 
 def _entry_items(model: FaultModel, posteriors: Sequence[float], newline: str) -> Iterator[str]:
     """The interpretation entries, one dict per row, each from one template.
-    Every hypothesis has one assignment line per value, and a row's
-    assignment is looked up by its index (_row_text)."""
+    Every hypothesis has one assignment line per value, and the rows'
+    assignments come in index order (_texts_in_index_order). A posterior
+    is finite, so its repr is its JSON text."""
     field = newline + "  "
     line = field + "  "
     choices = [
@@ -391,43 +495,36 @@ def _entry_items(model: FaultModel, posteriors: Sequence[float], newline: str) -
     ]
     # Every line after the first opens with the comma that ends the one before.
     choices[1:] = [("," + true, "," + false) for true, false in choices[1:]]
-    assignment_text = _row_text(choices)
     # With no hypotheses the one row's assignment is "{}" and its text "".
     assignment = "{%s" + field + "}" if choices else "{}%s"
     template = (
         "{" + field + '"index": %d,' + field + '"assignment": ' + assignment + ","
-        + field + '"posterior": %s' + newline + "}"
+        + field + '"posterior": %r' + newline + "}"
     )
-    return (
-        template % (index, assignment_text(index), _float_text(posterior))
-        for index, posterior in enumerate(posteriors)
-    )
+    return map(template.__mod__, zip(itertools.count(), _texts_in_index_order(choices), posteriors))
 
 
-def _fault_set_items(model: FaultModel, indices: Iterable[int], newline: str) -> Iterator[str]:
+def _fault_set_items(model: FaultModel, indices: Sequence[int], newline: str) -> Iterator[str]:
     """The fault set of each row as a JSON list, from its index: every
-    hypothesis has one line where it is faulty and none where it is normal."""
+    hypothesis has one line where it is faulty and none where it is normal
+    (_row_fault_sets)."""
     line = newline + "  "
-    text = _row_text([("," + line + key, "") for key in map(encode_basestring_ascii, model.hypothesis_ids)])
-    for index in indices:
-        names = text(index)
-        # names[1:] drops the comma before the first name.
-        yield "[" + names[1:] + newline + "]" if names else "[]"
+    keys = map(encode_basestring_ascii, model.hypothesis_ids)
+    return _row_fault_sets(keys, "[" + line, "," + line, newline + "]", "[]")(indices)
 
 
 def _cover_items(
     prefix: list[int], posteriors: list[float], cumulative: list[float], newline: str
 ) -> Iterator[str]:
-    """The cover entries, one dict per row, each from one template."""
+    """The cover entries, one dict per row, each from one template; the
+    posteriors and running sums are finite, so their reprs are their JSON
+    texts."""
     field = newline + "  "
     template = (
-        "{" + field + '"index": %d,' + field + '"posterior": %s,'
-        + field + '"cumulative": %s' + newline + "}"
+        "{" + field + '"index": %d,' + field + '"posterior": %r,'
+        + field + '"cumulative": %r' + newline + "}"
     )
-    return (
-        template % (index, _float_text(posterior), _float_text(cum))
-        for index, posterior, cum in zip(prefix, posteriors, cumulative)
-    )
+    return map(template.__mod__, zip(prefix, posteriors, cumulative))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +540,7 @@ def _cmd_interpretations(args: argparse.Namespace, bundle: ParsedBundle, query: 
             "entries": _Rows(partial(_entry_items, model, posteriors)),
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": _numbers(round(posterior, 4) for posterior in posteriors),
+                "posteriors": _Rows(lambda newline: _probabilities(posteriors, _rounded)),
             },
         }
         return _print_json(payload)
@@ -453,9 +550,13 @@ def _cmd_interpretations(args: argparse.Namespace, bundle: ParsedBundle, query: 
         [
             ("index", "d", len(str(count - 1))),
             ("interpretation", "-s", _interpretation_width(model, len(model.hypotheses))),
-            ("posterior", ".4f", 6),
+            ("posterior", "s", 6),
         ],
-        zip(itertools.count(), map(_interpretation_text(model), range(count)), table.posteriors),
+        zip(
+            itertools.count(),
+            _texts_in_index_order(_interpretation_choices(model)),
+            _probabilities(table.posteriors, _fixed),
+        ),
     )
 
 
@@ -473,7 +574,9 @@ def _ranking_payload(model: FaultModel, ranking: RankedDiagnoses) -> dict:
         "scores": _numbers(candidates.scores()),
         "leader": _fault_set_list(model, leader.fault_set) if leader is not None else None,
         "ties": _Rows(partial(_fault_set_items, model, ranking.ties.indices)),
-        "rounded": {"scores": _numbers(round(score, 4) for score in candidates.scores())},
+        "rounded": {
+            "scores": _Rows(lambda newline: _descending(candidates.scores(), len(candidates), _rounded))
+        },
     }
     if ranking.strategy is Strategy.MPE:
         payload["indices"] = _Rows(lambda newline: map(int.__repr__, candidates.indices))
@@ -491,26 +594,27 @@ def _write_ranking(model: FaultModel, ranking: RankedDiagnoses, evidence: float)
         print(head + "\nno candidates")
         return 0
     if ranking.strategy is Strategy.MPE:
-        text = _interpretation_text(model, " ")
+        texts = _row_texts(_interpretation_choices(model, " "))
 
-        def label(index: int) -> str:
-            return f"[{index}]{text(index)}"
+        def labels(indices: list[int]) -> Iterator[str]:
+            return map(operator.add, map("[%d]".__mod__, indices), texts(indices))
 
         width = len(str(len(candidates) - 1)) + 3 + _interpretation_width(model, len(model.hypotheses))
     else:
-        names = _row_text([("," + name, "") for name in model.hypothesis_ids])
+        labels = _row_fault_sets(model.hypothesis_ids, "{", ",", "}", "{}")
 
-        def label(index: int) -> str:
-            return "{" + names(index)[1:] + "}"
-
-        width = max(len(label(index)) for index in candidates.indices)
-    tail: Iterable[str] = [f"\nleader: {label(candidates.indices[0])}"]
+        width = max(map(len, labels(candidates.indices)))
+    tail: Iterable[str] = [f"\nleader: {next(labels(candidates.indices[:1]))}"]
     if len(ranking.ties) > 1:
-        tail = itertools.chain(tail, ["\nties:"], (" " + label(index) for index in ranking.ties.indices))
+        tail = itertools.chain(tail, ["\nties:"], map(" ".__add__, labels(ranking.ties.indices)))
     return _write_table(
         head,
-        [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", ".4f", 6)],
-        zip(itertools.count(1), map(label, candidates.indices), candidates.scores()),
+        [("rank", "d", len(str(len(candidates)))), ("candidate", "-s", width), ("score", "s", 6)],
+        zip(
+            itertools.count(1),
+            labels(candidates.indices),
+            _descending(candidates.scores(), len(candidates), _fixed),
+        ),
         tail,
     )
 
@@ -624,7 +728,7 @@ def _cmd_treat(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> 
 def _cmd_cover(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> int:
     table, model = query.table, query.model
     prefix = covering_mass_set(table, args.mass)
-    posteriors = [table.posteriors[index] for index in prefix]
+    posteriors = list(map(table.posteriors.__getitem__, prefix))
     cumulative = list(itertools.accumulate(posteriors))
     if args.fmt == "json":
         payload = {
@@ -633,8 +737,8 @@ def _cmd_cover(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> 
             "entries": _Rows(partial(_cover_items, prefix, posteriors, cumulative)),
             "rounded": {
                 "evidence_probability": round(table.evidence_probability, 4),
-                "posteriors": _numbers(round(posterior, 4) for posterior in posteriors),
-                "cumulative": _numbers(round(cum, 4) for cum in cumulative),
+                "posteriors": _Rows(lambda newline: _descending(posteriors, len(posteriors), _rounded)),
+                "cumulative": _Rows(lambda newline: _rounded(cumulative)),
             },
         }
         return _print_json(payload)
@@ -644,10 +748,16 @@ def _cmd_cover(args: argparse.Namespace, bundle: ParsedBundle, query: Query) -> 
             ("rank", "d", len(str(len(prefix)))),
             ("index", "d", len(str(max(prefix)))),
             ("interpretation", "-s", _interpretation_width(model, max(map(int.bit_count, prefix)))),
-            ("posterior", ".4f", 6),
-            ("cumulative", ".4f", 6),
+            ("posterior", "s", 6),
+            ("cumulative", "s", 6),
         ],
-        zip(itertools.count(1), prefix, map(_interpretation_text(model), prefix), posteriors, cumulative),
+        zip(
+            itertools.count(1),
+            prefix,
+            _row_texts(_interpretation_choices(model))(prefix),
+            _descending(posteriors, len(posteriors), _fixed),
+            _fixed(cumulative),
+        ),
     )
 
 

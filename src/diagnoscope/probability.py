@@ -7,9 +7,13 @@ the treatment search read the mass of each distinct conjunction of
 hypothesis literals from it once (``Query.mass``). The table is
 one posterior per row, in index order: the row's prior, a prefix product
 over the priors in declaration order, or an exact 0.0 outside the facts-
-and-observations mask, normalized by the evidence probability. A row is
-its index into ``posteriors``: marginals read them through row masks, and
-the most likely interpretations and covering-mass sets are row indices.
+and-observations mask, normalized by the evidence probability. The prior
+products take two list comprehensions per hypothesis and the posteriors
+one more; the evidence, the most likely rows and the ranking by posterior
+are C-level passes (``itertools.compress``, a sort by key), so building
+and ranking the table calls no Python function per row. A row is its
+index into ``posteriors``: marginals read them through row masks, and the
+most likely interpretations and covering-mass sets are row indices.
 ``model.interpretation_at`` decodes one row. Sums of probabilities (the
 evidence, every marginal) are correctly rounded (``math.fsum``), so they do
 not depend on the order of the rows or on the interpreter's ``sum``.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -118,16 +123,22 @@ class Query:
 
 
 def _build_table(query: Query) -> PosteriorTable:
+    """The weights double once per hypothesis: a row's weight times p makes
+    the row where the hypothesis is faulty, times 1 - p the normal one next
+    to it."""
     possible = _selectors(query.good, 1 << len(query.model.hypotheses))
     weights = [1.0]
     for hypothesis in query.model.hypotheses:
         p = hypothesis.prior
-        weights = [x * f for x in weights for f in (p, 1.0 - p)]
-    weights = [weight if keep else 0.0 for weight, keep in zip(weights, possible)]
-    evidence = math.fsum(weights)
+        q = 1.0 - p
+        extended = weights * 2
+        extended[0::2] = [x * p for x in weights]
+        extended[1::2] = [x * q for x in weights]
+        weights = extended
+    evidence = math.fsum(itertools.compress(weights, possible))
     if evidence == 0.0:
         raise ZeroProbabilityObservationError("observation has zero probability")
-    posteriors = tuple(weight / evidence for weight in weights)
+    posteriors = tuple([weight / evidence if keep else 0.0 for weight, keep in zip(weights, possible)])
     return PosteriorTable(query.theory, posteriors, evidence)
 
 
@@ -147,12 +158,17 @@ def marginal(table: PosteriorTable, formula: Formula) -> float:
 def most_likely_interpretations(table: PosteriorTable) -> list[int]:
     """The rows within TIE_EPSILON of the maximum posterior, in index order."""
     floor = max(table.posteriors) - TIE_EPSILON
-    return [index for index, posterior in enumerate(table.posteriors) if posterior >= floor]
+    return list(itertools.compress(itertools.count(), map(floor.__le__, table.posteriors)))
 
 
 def _by_posterior(table: PosteriorTable) -> list[int]:
-    """Every row, by descending posterior and then index."""
-    return sorted(range(len(table.posteriors)), key=table.posteriors.__getitem__, reverse=True)
+    """Every row, by descending posterior and then index: the rows with a
+    nonzero posterior sorted stably, then the zero rows in index order."""
+    posteriors = table.posteriors
+    ranked = list(itertools.compress(itertools.count(), posteriors))
+    ranked.sort(key=posteriors.__getitem__, reverse=True)
+    ranked.extend(itertools.compress(itertools.count(), map(operator.not_, posteriors)))
+    return ranked
 
 
 def covering_mass_set(table: PosteriorTable, mass: float) -> list[int]:

@@ -10,6 +10,11 @@ differently across Python versions: such a case (one that a fresh
 ``build_parser().parse_args`` ends with ``SystemExit``) is marked
 ``"argparse": true`` and replayed against a fresh parser instead.
 
+The same run writes ``cap_digests.json``: the sha256 of each answer at
+the hypothesis cap (m = 20) that CI checks byte for byte within a bounded
+address space. Those answers run on the m = 20 model of
+``benchmarks/sweep.py`` and are too large to store or to replay here.
+
 When output changes on purpose, regenerate the corpus from the repository
 root and name the changed cases in CHANGES.md:
 
@@ -23,6 +28,7 @@ import hashlib
 import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +36,8 @@ from pathlib import Path
 from diagnoscope.cli import build_parser, run_cli
 
 CORPUS = Path(__file__).with_name("corpus.json")
+CAP_DIGESTS = Path(__file__).with_name("cap_digests.json")
+BENCHMARKS = Path(__file__).parent.parent.parent / "benchmarks"
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 DIR = "{dir}"
 INLINE_LIMIT = 2048
@@ -297,13 +305,72 @@ def build_cases() -> tuple[dict[str, str], list[dict]]:
     return models, cases
 
 
+# ---------------------------------------------------------------------------
+# answers at the cap
+
+# Each is asked of the m = 20 sweep model with O0 and O1 observed.
+CAP_ARGVS = (
+    ("interpretations",),
+    ("diagnose", "--strategy", "mpe"),
+    ("diagnose", "--strategy", "all"),
+    ("cover", "--mass", "1"),
+    ("diagnose", "--strategy", "all", "--format", "json"),
+    ("cover", "--mass", "1", "--format", "json"),
+    ("diagnose", "--strategy", "single-fault"),
+    ("diagnose", "--strategy", "single-fault", "--format", "json"),
+    ("diagnose", "--strategy", "posterior"),
+    ("diagnose", "--strategy", "posterior", "--format", "json"),
+    ("diagnose", "--strategy", "consistency"),
+    ("diagnose", "--strategy", "consistency", "--format", "json"),
+    ("diagnose", "--strategy", "abductive"),
+    ("diagnose", "--strategy", "abductive", "--format", "json"),
+    ("diagnose", "--strategy", "mpe", "--format", "json"),
+)
+
+
+class _Digest:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def cap_digests() -> list[dict]:
+    """The sha256 of the stdout of each of CAP_ARGVS."""
+    text = subprocess.run(
+        [sys.executable, "-c", "import sys, sweep; sys.stdout.write(sweep.model_text(20))"],
+        cwd=BENCHMARKS, check=True, capture_output=True, text=True,
+    ).stdout
+    answers = []
+    with tempfile.TemporaryDirectory() as name:
+        path = Path(name) / "sweep20.fdl"
+        path.write_text(text)
+        for argv in CAP_ARGVS:
+            out = _Digest()
+            with contextlib.redirect_stdout(out):
+                code = run_cli([argv[0], str(path), "--observe", "O0", "--observe", "O1", *argv[1:]])
+            assert code == 0, argv
+            answers.append({"argv": list(argv), "sha256": out.sha256.hexdigest()})
+    return answers
+
+
 def main() -> None:
+    answers = ",\n".join(json.dumps(answer) for answer in cap_digests())
+    CAP_DIGESTS.write_text("[\n" + answers + "\n]\n", encoding="utf-8")
     models, cases = build_cases()
     lines = ['{"models": ' + json.dumps(models, indent=1, sort_keys=True) + ",", '"cases": [']
     lines.append(",\n".join(json.dumps(case, sort_keys=True) for case in cases))
     lines.append("]}")
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{CORPUS}: {len(cases)} cases, {CORPUS.stat().st_size} bytes", file=sys.stderr)
+    print(f"{CAP_DIGESTS}: {len(CAP_ARGVS)} answers at the cap", file=sys.stderr)
 
 
 if __name__ == "__main__":

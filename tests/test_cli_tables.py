@@ -10,11 +10,13 @@ the public API, and the two must agree byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diagnoscope import ObservationSet, parse_model_file
+from diagnoscope import ObservationSet, cli, parse_model_file
 from diagnoscope.cli import run_cli
 from diagnoscope.errors import DiagnoscopeError
 from diagnoscope.model import interpretation_at
@@ -241,3 +243,35 @@ def test_failing_table_query_writes_nothing(capsys, tmp_path, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# 4-place texts: a table spells a probability with '%.4f' and JSON
+# ``rounded`` with round(x, 4); the writers spell only the values that can
+# show a digit and give the rest one zero text.
+
+_EDGES = [
+    0.0, 1.0, 5e-324, 5e-05, math.nextafter(5e-05, 0.0), math.nextafter(5e-05, 1.0),
+    0.99995, math.nextafter(0.99995, 0.0), math.nextafter(0.99995, 1.0), 0.00015, 0.5,
+]
+_PROBABILITIES = st.lists(st.floats(0.0, 1.0) | st.sampled_from(_EDGES), max_size=40)
+_SPELLINGS = [
+    (cli._fixed, lambda x: "%.4f" % x),
+    (cli._rounded, lambda x: cli._float_text(round(x, 4))),
+]
+
+
+@pytest.mark.parametrize("spell, reference", _SPELLINGS, ids=["table", "json"])
+def test_four_place_texts_at_the_edges(spell, reference):
+    assert list(cli._probabilities(_EDGES, spell)) == list(map(reference, _EDGES))
+    assert reference(math.nextafter(5e-05, 0.0)) == reference(0.0) != reference(5e-05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROBABILITIES)
+def test_four_place_texts_match_format_and_round(values):
+    for spell, reference in _SPELLINGS:
+        expected = list(map(reference, values))
+        assert list(cli._probabilities(values, spell)) == expected
+        ranked = sorted(values, reverse=True)
+        assert list(cli._descending(iter(ranked), len(ranked), spell)) == list(map(reference, ranked))

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from diagnoscope.errors import UnknownAtomError, ZeroProbabilityObservationError
-from diagnoscope.formulas import FALSE, TRUE, And, Atom, Not, conjunction
+from diagnoscope.formulas import FALSE, TRUE, And, Atom, Not, Or, conjunction
+from diagnoscope.logic import _selectors
 from diagnoscope.model import (
     CausalRule,
     FaultModel,
@@ -17,6 +18,7 @@ from diagnoscope.model import (
 )
 from diagnoscope.probability import (
     Query,
+    _build_table,
     covering_mass_set,
     marginal,
     most_likely_interpretations,
@@ -281,3 +283,45 @@ def test_mpe_ignores_added_independent_variable():
         assert projected == base_mapping
         checked += 1
     assert checked >= 20
+
+
+def _reference_table(query: Query) -> tuple[list[float], float]:
+    """The table built one list comprehension per hypothesis, as the
+    products were first written: the posteriors and the evidence."""
+    possible = _selectors(query.good, 1 << len(query.model.hypotheses))
+    weights = [1.0]
+    for hypothesis in query.model.hypotheses:
+        p = hypothesis.prior
+        weights = [x * f for x in weights for f in (p, 1.0 - p)]
+    weights = [weight if keep else 0.0 for weight, keep in zip(weights, possible)]
+    evidence = math.fsum(weights)
+    if evidence == 0.0:
+        raise ZeroProbabilityObservationError("observation has zero probability")
+    return [weight / evidence for weight in weights], evidence
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_table_build_matches_the_reference_bit_for_bit(seed):
+    """Priors of 0, 1, 1e-300 and 5e-324 among ordinary ones, with and
+    without facts: the same products in the same order, so every posterior
+    and the evidence are the same floats."""
+    rng = random.Random(seed)
+    names = [f"H{k}" for k in range(rng.randint(1, 7))]
+    priors = (0.0, 1.0, 1e-300, 5e-324, 0.3, 0.7, 0.1)
+    facts = (Or((Not(Atom(names[0])), Atom(names[-1]))),) if seed % 2 else ()
+    model = FaultModel(
+        hypotheses=tuple(Hypothesis(name, rng.choice(priors)) for name in names),
+        observables=(ObservableVar("E"),),
+        rules=tuple(CausalRule((name,), "E") for name in rng.sample(names, rng.randint(1, len(names)))),
+        extra_facts=facts,
+    )
+    observations = ObservationSet.of(rng.choice(("E", "!E"))) if seed % 3 else ObservationSet()
+    try:
+        expected = _reference_table(Query(model, observations))
+    except ZeroProbabilityObservationError:
+        with pytest.raises(ZeroProbabilityObservationError):
+            _build_table(Query(model, observations))
+        return
+    table = _build_table(Query(model, observations))
+    assert list(map(float.hex, table.posteriors)) == list(map(float.hex, expected[0]))
+    assert table.evidence_probability.hex() == expected[1].hex()
