@@ -140,7 +140,9 @@ def expected_utility(
     selected: frozenset[str],
 ) -> float:
     """Expected utility of the treatment set ``selected`` given the observations."""
-    return _total(_utility_parts(Query(model, observations).mass, utility, treatments).parts(selected))
+    query = Query(model, observations)
+    query.table  # an impossible observation fails even where no term asks for a mass
+    return _total(_utility_parts(query.mass, utility, treatments).parts(selected))
 
 
 def optimal_treatment(
@@ -165,6 +167,7 @@ def _optimal_treatment(
             f"treatment space too large: {len(treatments)} treatments"
             f" exceed the cap of {TREATMENT_CAP}"
         )
+    query.table  # an impossible observation fails even where no term asks for a mass
     terms = _utility_parts(query.mass, utility, treatments)
     best_set, best_utility = _best(terms)
     breakdown: dict[str, float] | None = None

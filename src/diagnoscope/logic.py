@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     FreeObservableError,
@@ -41,7 +41,6 @@ from .model import (
     Interpretation,
     ObservationSet,
     _check_hypothesis_cap,
-    interpretation_at,
     validate_observations,
 )
 
@@ -200,14 +199,12 @@ def scenario_explains(theory: CompletedTheory, scenario: Scenario, goal: Formula
     return extensions & ~_rows(theory, goal) == 0
 
 
-def maximal_scenarios(theory: CompletedTheory) -> list[Scenario]:
-    """All set-inclusion-maximal consistent scenarios, i.e. the total
-    assignments satisfying the hard constraints, in index order."""
-    model = theory.model
+def maximal_scenarios(theory: CompletedTheory) -> list[int]:
+    """The set-inclusion-maximal consistent scenarios, as the rows that
+    satisfy the hard constraints in index order; interpretation_at decodes one."""
     facts = _possible_rows(theory, ())
-    size = 1 << len(model.hypotheses)
-    rows = itertools.compress(itertools.count(), _selectors(facts, size))
-    return [Scenario(interpretation_at(model, row).literals()) for row in rows]
+    size = 1 << len(theory.model.hypotheses)
+    return list(itertools.compress(itertools.count(), _selectors(facts, size)))
 
 
 def _closure(rows: int, count: int, up: bool) -> int:
@@ -249,7 +246,7 @@ def consistency_diagnoses(
     facts and observations; ordered by cardinality then declaration order."""
     check_observations(theory.model, observations)
     rows = _minimal_fault_sets(theory.model, _possible_rows(theory, observations.literals))
-    return [frozenset(interpretation_at(theory.model, row).true_ids()) for row in rows]
+    return [frozenset(_faulty(theory.model.hypothesis_ids, row)) for row in rows]
 
 
 def abductive_explanations(
@@ -260,7 +257,7 @@ def abductive_explanations(
     _check_abducible(theory.model, observations)
     facts = _possible_rows(theory, ())
     rows = _explanations(theory.model, facts, facts & _rows(theory, _literals(observations.literals)))
-    return [frozenset(interpretation_at(theory.model, row).true_ids()) for row in rows]
+    return [frozenset(_faulty(theory.model.hypothesis_ids, row)) for row in rows]
 
 
 def _check_abducible(model: FaultModel, observations: ObservationSet) -> None:
@@ -293,3 +290,9 @@ def _faulty_rows(count: int, k: int) -> int:
         mask |= mask << width
         width *= 2
     return mask
+
+
+def _faulty(ids: tuple[str, ...], index: int) -> Iterator[str]:
+    """The hypotheses faulty on row ``index``: those whose bit is 0."""
+    last = len(ids) - 1
+    return (name for k, name in enumerate(ids) if not index >> (last - k) & 1)

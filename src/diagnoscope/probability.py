@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import UnknownAtomError, ZeroProbabilityObservationError
 from .formulas import Formula
@@ -94,32 +94,30 @@ class Query:
         return table
 
     @cached_property
-    def mass(self) -> Callable[[Iterable[tuple[str, bool]]], float]:
+    def _masses(self) -> dict[tuple[int, int] | None, float]:
+        return {}
+
+    def mass(self, literals: Iterable[tuple[str, bool]]) -> float:
         """The posterior mass of a conjunction of hypothesis literals, read
         from the table, which is built first. Each distinct row mask is
         summed once per question: a conjunction's faulty and normal
         hypotheses name its row mask one to one (every contradictory one
         names the empty mask), so they key the sums. A name that is not a
         hypothesis, observables included, is an unknown atom."""
-        table, index = self.table, self.model.hypothesis_index
-        masses: dict[tuple[int, int] | None, float] = {}
-
-        def mass(literals: Iterable[tuple[str, bool]]) -> float:
-            literals = tuple(literals)
-            faulty = normal = 0
-            for name, polarity in literals:
-                if name not in index:
-                    raise UnknownAtomError(f"unknown atom '{name}'")
-                if polarity:
-                    faulty |= 1 << index[name]
-                else:
-                    normal |= 1 << index[name]
-            key = None if faulty & normal else (faulty, normal)
-            if key not in masses:
-                masses[key] = marginal(table, _literals(literals))
-            return masses[key]
-
-        return mass
+        table, index, masses = self.table, self.model.hypothesis_index, self._masses
+        literals = tuple(literals)
+        faulty = normal = 0
+        for name, polarity in literals:
+            if name not in index:
+                raise UnknownAtomError(f"unknown atom '{name}'")
+            if polarity:
+                faulty |= 1 << index[name]
+            else:
+                normal |= 1 << index[name]
+        key = None if faulty & normal else (faulty, normal)
+        if key not in masses:
+            masses[key] = marginal(table, _literals(literals))
+        return masses[key]
 
 
 def _build_table(query: Query) -> PosteriorTable:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .decision import TreatmentDecision, _optimal_treatment
 from .errors import DiagnoscopeError
-from .logic import _check_abducible, _explanations, _minimal_fault_sets
+from .logic import _check_abducible, _explanations, _faulty, _minimal_fault_sets
 from .model import (
     FaultModel,
     ObservationSet,
@@ -66,12 +66,6 @@ class Candidate:
     fault_set: frozenset[str]
     score: float
     index: int
-
-
-def _faulty(ids: tuple[str, ...], index: int) -> Iterator[str]:
-    """The hypotheses faulty on row ``index``: those whose bit is 0."""
-    last = len(ids) - 1
-    return (name for k, name in enumerate(ids) if not index >> (last - k) & 1)
 
 
 class RowCandidates(Sequence):

@@ -25,6 +25,12 @@ def assignment_for_index(ids: tuple[str, ...], index: int) -> dict[str, bool]:
     }
 
 
+def index_for_assignment(ids: tuple[str, ...], assignment: dict[str, bool]) -> int:
+    """The row of a total assignment, the inverse of assignment_for_index."""
+    count = len(ids)
+    return sum(1 << (count - 1 - k) for k, name in enumerate(ids) if not assignment[name])
+
+
 def observable_holds(rules: Rules, name: str, assignment: dict[str, bool]) -> bool:
     return any(
         all(assignment[atom] for atom in body) for body, head in rules if head == name

@@ -27,6 +27,7 @@ from diagnoscope.formulas import Atom
 from diagnoscope.logic import _literals
 from diagnoscope.model import (
     AdditiveEntry,
+    CausalRule,
     FaultModel,
     Hypothesis,
     JointEntry,
@@ -128,6 +129,22 @@ def test_treatment_cap(circuit4, observe_current):
     many = tuple(TreatmentAction(f"T{k}", "A") for k in range(21))
     with pytest.raises(SearchSpaceError, match="treatment space too large"):
         optimal_treatment(circuit4, observe_current, UtilityModel(), many)
+
+
+def test_an_impossible_observation_fails_where_no_term_asks_for_a_mass():
+    """With no treatment and no joint term no mass is read, and the table is
+    still built: an observation of zero probability is an error, not an
+    expected utility of 0."""
+    model = FaultModel(
+        hypotheses=(Hypothesis("A", 0.0),),
+        observables=(ObservableVar("E"),),
+        rules=(CausalRule(("A",), "E"),),
+    )
+    observe = ObservationSet.of("E")
+    with pytest.raises(ZeroProbabilityObservationError):
+        optimal_treatment(model, observe, UtilityModel(), ())
+    with pytest.raises(ZeroProbabilityObservationError):
+        expected_utility(model, observe, UtilityModel(), (), frozenset())
 
 
 def test_threshold_examples():

@@ -36,6 +36,7 @@ from .oracle import (
     explaining_fault_sets,
     fact_assignments,
     formula_marginal,
+    index_for_assignment,
     minimal_sets,
     posterior_rows,
     random_formula,
@@ -148,7 +149,8 @@ def test_engine_matches_the_oracle(problem):
             scenario_explains(theory, scenario, goal)
     else:
         assert scenario_explains(theory, scenario, goal) == entailed
-    expected = [Scenario(tuple(a.items())) for a in fact_assignments(model)]
+    ids = model.hypothesis_ids
+    expected = [index_for_assignment(ids, assignment) for assignment in fact_assignments(model)]
     assert maximal_scenarios(theory) == expected
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -244,10 +245,9 @@ def test_scenario_explains_rejects_inconsistent():
 
 
 def test_maximal_scenarios_counts(circuit4):
+    """The fact rows, as row indices in index order."""
     theory = clark_completion(circuit4)
-    unconstrained = maximal_scenarios(theory)
-    assert len(unconstrained) == 16
-    assert all(len(s.asserted) == 4 for s in unconstrained)
+    assert maximal_scenarios(theory) == list(range(16))
 
     constrained_model = FaultModel(
         hypotheses=circuit4.hypotheses,
@@ -255,15 +255,39 @@ def test_maximal_scenarios_counts(circuit4):
         rules=circuit4.rules,
         extra_facts=(Not(And((Atom("A"), Atom("B")))),),
     )
+    # A and B are both faulty exactly where the two high index bits are 0.
     constrained = maximal_scenarios(clark_completion(constrained_model))
-    assert len(constrained) == 12
+    assert constrained == list(range(4, 16))
+    assert all(
+        not {"A", "B"} <= set(interpretation_at(constrained_model, row).true_ids())
+        for row in constrained
+    )
 
     tiny = FaultModel(
         hypotheses=(Hypothesis("A", 0.3),),
         observables=(ObservableVar("E"),),
         rules=(CausalRule(("A",), "E"),),
     )
-    assert len(maximal_scenarios(clark_completion(tiny))) == 2
+    assert maximal_scenarios(clark_completion(tiny)) == [0, 1]
+
+
+def test_maximal_scenarios_hold_one_int_per_row():
+    """All 2^16 rows of a fact-free model in a few MB: one int per row, no
+    object built per row (a scenario per row peaked at 72 MB)."""
+    model = FaultModel(
+        hypotheses=tuple(Hypothesis(f"H{k}", 0.1) for k in range(16)),
+        observables=(ObservableVar("E"),),
+        rules=(CausalRule(("H0",), "E"),),
+    )
+    theory = clark_completion(model)
+    tracemalloc.start()
+    try:
+        rows = maximal_scenarios(theory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert rows == list(range(1 << 16))
 
 
 def test_consistency_diagnoses_circuit4(circuit4, observe_current):
